@@ -49,20 +49,8 @@ _SOLVER_ERRORS = (
 )
 
 
-def _atomic_write_json(payload: dict, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_write_file(write_fn, path: str) -> None:
+    """Write ``path`` atomically: ``write_fn(tmp)`` fills a temp file that then replaces it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
@@ -73,6 +61,11 @@ def _atomic_write_file(write_fn, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(payload: dict, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def _rate(value: float, bits: bool) -> float:
@@ -161,7 +154,7 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
         "budget": float(budget),
     }
     out = cfg.out_path(cfg.data.get("output", "capacity.json"))
-    _atomic_write_json(payload, out)
+    _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"constrained capacity: {payload['capacity']:.6f} {payload['units']}")
     return [out]
 
@@ -178,7 +171,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         "test_channel": cond.tolist(),
     }
     out = cfg.out_path(cfg.data.get("output", "rate_distortion.json"))
-    _atomic_write_json(payload, out)
+    _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"rate at d_c={d_c}: {payload['rate']:.6f} {payload['units']}")
     return [out]
 
@@ -190,7 +183,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     point = discrete.min_total_distortion(model, float(budget), grid=grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.data.get("output", "tradeoff.json"))
-    _atomic_write_json(payload, out)
+    _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(
         f"min total distortion: {point.d_total:.6f} "
         f"(d_s={point.d_s:.6f}, d_c={point.d_c:.6f})"
@@ -209,7 +202,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "q_star": _complex_payload(res.q_star.q),
     }
     out = cfg.out_path(cfg.data.get("output", "isac_optimize.json"))
-    _atomic_write_json(payload, out)
+    _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
         f"(converged={res.converged}, iterations={res.iterations})"
@@ -230,7 +223,7 @@ def _run_trm_sw(cfg: Config) -> list[str]:
         "q_comm": _complex_payload(q_c.q),
     }
     out = cfg.out_path(cfg.data.get("output", "sw_optimize.json"))
-    _atomic_write_json(payload, out)
+    _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"sw optimum: total D={res.point.d_total:.6f} at rho={res.rho:.4f}")
     return [out]
 

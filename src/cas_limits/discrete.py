@@ -35,6 +35,7 @@ _MU_CAP = 1e12          # multiplier doubling safety cap
 _BETA_CAP = 1e8         # rate-distortion slope doubling safety cap
 _BISECT_STEPS = 200
 _NEWTON_STEPS = 50
+_SCREEN = 1e-6          # a Newton polish starts without coordinates below this times the largest
 _LOG_FLOOR = 1e-300
 
 
@@ -236,7 +237,18 @@ def _simplex_newton(x: np.ndarray, oracle, tol: float) -> tuple[np.ndarray, floa
     gradient and Hessian. Returns the point and its Frank-Wolfe gap
     ``max(grad) - x @ grad``, which bounds the distance to the maximum; the
     caller accepts the point only when the gap is below ``tol``.
+
+    The start is screened first: coordinates below ``_SCREEN`` times the
+    largest one are set to zero. A Blahut-Arimoto iterate drains letters
+    off the optimal support only geometrically, so without the screen each
+    of them would cost a Newton step to drop, and a wide R(D) problem has
+    more of them than ``_NEWTON_STEPS``. A coordinate screened out wrongly
+    keeps a gradient above ``x @ grad`` at the optimum of the smaller
+    support, so the admission rule brings it back, and the gap test still
+    decides acceptance: the screen changes the work, not the answer.
     """
+    x = np.where(x < _SCREEN * x.max(), 0.0, x)
+    x /= x.sum()
     f, g, h = oracle(x)
     gap = float(g.max() - x @ g)
     for _ in range(_NEWTON_STEPS):

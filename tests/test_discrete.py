@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from cas_limits import (
     ConvergenceWarning,
@@ -33,6 +34,7 @@ from helpers import (
     binary_sensing_model,
     bsc,
     random_finite_model,
+    random_rows,
     reference_2x2x2_model,
 )
 
@@ -320,6 +322,76 @@ def test_rate_distortion_inverse_endpoints():
     assert d_c == 0.5 and rate == 0.0
     d_c, _ = rate_distortion_inverse(src, HAMMING, 10.0)
     assert d_c == 0.0
+
+
+def _rd_dual_lower_bound(src, dist, d_c, q):
+    """Blahut's lower bound on R(d_c) from the output law q, at its best slope.
+
+    For every beta >= 0, with c_i = sum_j q_j exp(-beta d_ij),
+    R(d_c) >= -beta d_c - sum_i p_i log c_i - log max_j sum_i p_i exp(-beta d_ij) / c_i.
+    """
+    def bound(log_beta):
+        beta = np.exp(log_beta)
+        a = np.exp(-beta * dist)
+        c = a @ q
+        return -beta * d_c - src @ np.log(c) - np.log(((src / c) @ a).max())
+
+    grid = np.linspace(-3.0, 6.0, 91)
+    k = int(np.argmax([bound(t) for t in grid]))
+    res = minimize_scalar(
+        lambda t: -bound(t), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
+        method="bounded", options={"xatol": 1e-10},
+    )
+    return max(bound(grid[k]), -res.fun)
+
+
+def test_wide_rate_distortion_certifies_without_full_reruns(monkeypatch):
+    # A 64-letter source like the benchmark's panels. After BA_POLISH_AFTER
+    # iterations about 50 letters are nearly drained but still positive, and
+    # the Newton polish must certify every handoff on its own: no
+    # Blahut-Arimoto run goes on to BA_MAX_ITER.
+    rng = np.random.default_rng(4)
+    src = random_rows(rng, (64,))
+    dist = rng.uniform(0.1, 1.0, (64, 64))
+    np.fill_diagonal(dist, 0.0)
+    d_c = 0.5 * float((src @ dist).min())
+    caps = []
+    kernel = discrete.ba_rate_distortion
+
+    def counted(source, distortion, beta, tol, max_iter):
+        caps.append(max_iter)
+        return kernel(source, distortion, beta, tol, max_iter)
+
+    monkeypatch.setattr(discrete, "ba_rate_distortion", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        rate, cond = rate_distortion_discrete(src, dist, d_c)
+    assert caps and discrete.BA_MAX_ITER not in caps
+    assert float(np.einsum("i,ij,ij->", src, cond, dist)) <= d_c + 1e-9
+    assert abs(rate - mutual_information(src, cond)) < 1e-9
+    lower = _rd_dual_lower_bound(src, dist, d_c, src @ cond)
+    assert lower - 1e-9 <= rate <= lower + 1e-6
+
+
+def test_newton_polish_readmits_a_screened_coordinate():
+    # BSC(0.3) penalized just past the vertex p = (1, 0): the optimum puts
+    # about 1.3e-9 on input 1, far below the polish's start screen. A start
+    # with input 1 below the screen is moved to the vertex, whose gap is
+    # 1e-9, and input 1 has to be admitted back.
+    w = bsc(0.3)
+    kl = float(w[1] @ np.log(w[1] / w[0]))
+    base = (w * np.log(w)).sum(axis=1) - np.array([0.0, kl - 1e-9])
+
+    def oracle(p):
+        q = p @ w
+        score = base - w @ np.log(q)
+        return p @ score, score, -(w / q) @ w.T
+
+    start = np.array([1.0 - 1e-12, 1e-12])
+    assert start[1] < discrete._SCREEN * start[0]
+    p, gap = discrete._simplex_newton(start, oracle, discrete.BA_TOL)
+    assert gap < discrete.BA_TOL
+    assert 0.0 < p[1] < discrete._SCREEN
 
 
 def test_uncertified_answers_warn(monkeypatch):
