@@ -41,12 +41,13 @@ from .gaussian import (
     reverse_waterfill,
     sensing_mse,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .simulate import SimReport, simulate_end_to_end, simulate_sensing
 from .types import TradeoffPoint
 from .waveform import OptResult, SweepCurve, optimize_isac, optimize_sw, sweep_snr
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "python"  # the Blahut-Arimoto kernels are NumPy only
 
 __all__ = [
     "CasError",

@@ -13,6 +13,7 @@ calibration test in the suite.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass
@@ -112,58 +113,59 @@ def _run_chain(
 
     sums = {"d_s": 0.0, "d_s2": 0.0, "d_c": 0.0, "d_c2": 0.0,
             "d": 0.0, "d2": 0.0, "x": 0.0, "x2": 0.0}
-    dump_rows = [] if dump_path is not None else None
 
-    # contiguous per-worker partitions, each with its own seeded substream
-    base = n_trials // n_workers
-    shares = [base + (1 if i < n_trials % n_workers else 0) for i in range(n_workers)]
-    streams = np.random.SeedSequence(seed).spawn(n_workers)
-    for share, ss in zip(shares, streams):
-        rng = np.random.default_rng(ss)
-        done = 0
-        while done < share:
-            nb = min(_BATCH, share - done)
-            g = _draw_complex_normal(rng, (nb, model.m_s, model.n))
-            s = g @ sigma_root.T
-            noise = np.sqrt(model.noise_s) * _draw_complex_normal(rng, (nb, model.m_s, model.t))
-            z = s @ x_eff.conj() + noise
-            s_est = z @ w.T
-            err_s = s - s_est
-            d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
-            sums["d_s"] += d_s_i.sum()
-            sums["d_s2"] += (d_s_i**2).sum()
-
-            if rate_budget is not None:
-                coeff = s_est @ u.conj()
-                wnoise = _draw_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
-                coeff_hat = gains * coeff + wnoise
-                s_hat = coeff_hat @ u.T
-                err_c = s_est - s_hat
-                err_t = s - s_hat
-                d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
-                d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
-                x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
-                sums["d_c"] += d_c_i.sum()
-                sums["d_c2"] += (d_c_i**2).sum()
-                sums["d"] += d_i.sum()
-                sums["d2"] += (d_i**2).sum()
-                sums["x"] += x_i.sum()
-                sums["x2"] += (x_i**2).sum()
-                if dump_rows is not None:
-                    dump_rows.extend(zip(d_s_i, d_c_i, d_i, x_i))
-            elif dump_rows is not None:
-                dump_rows.extend((v,) for v in d_s_i)
-            done += nb
-
-    if dump_rows is not None:
-        with open(dump_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if dump_path is not None:
+            writer = csv.writer(stack.enter_context(open(dump_path, "w", newline="")))
             if rate_budget is not None:
                 writer.writerow(["d_s", "d_c", "d_total", "cross"])
             else:
                 writer.writerow(["d_s"])
-            for row in dump_rows:
-                writer.writerow([format(float(v), ".17g") for v in row])
+
+        # contiguous per-worker partitions, each with its own seeded substream
+        base = n_trials // n_workers
+        shares = [base + (1 if i < n_trials % n_workers else 0) for i in range(n_workers)]
+        streams = np.random.SeedSequence(seed).spawn(n_workers)
+        for share, ss in zip(shares, streams):
+            rng = np.random.default_rng(ss)
+            done = 0
+            while done < share:
+                nb = min(_BATCH, share - done)
+                g = _draw_complex_normal(rng, (nb, model.m_s, model.n))
+                s = g @ sigma_root.T
+                noise = np.sqrt(model.noise_s) * _draw_complex_normal(rng, (nb, model.m_s, model.t))
+                z = s @ x_eff.conj() + noise
+                s_est = z @ w.T
+                err_s = s - s_est
+                d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
+                sums["d_s"] += d_s_i.sum()
+                sums["d_s2"] += (d_s_i**2).sum()
+                columns = [d_s_i]
+
+                if rate_budget is not None:
+                    coeff = s_est @ u.conj()
+                    wnoise = _draw_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
+                    coeff_hat = gains * coeff + wnoise
+                    s_hat = coeff_hat @ u.T
+                    err_c = s_est - s_hat
+                    err_t = s - s_hat
+                    d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
+                    d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
+                    x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
+                    sums["d_c"] += d_c_i.sum()
+                    sums["d_c2"] += (d_c_i**2).sum()
+                    sums["d"] += d_i.sum()
+                    sums["d2"] += (d_i**2).sum()
+                    sums["x"] += x_i.sum()
+                    sums["x2"] += (x_i**2).sum()
+                    columns += [d_c_i, d_i, x_i]
+                if writer is not None:
+                    writer.writerows(
+                        [format(v, ".17g") for v in row]
+                        for row in zip(*(c.tolist() for c in columns))
+                    )
+                done += nb
 
     return sums, analytic_d_c
 

@@ -215,66 +215,26 @@ def optimize_isac(
     )
 
 
-def _waterfill_sensing(model: TrmModel, power: float) -> np.ndarray:
-    """Gram minimizing the sensing MSE under a trace cap (prior eigenbasis)."""
-    mu, u = np.linalg.eigh(model.sigma_s)
-    mu = np.maximum(np.real(mu), 0.0)
-    n = mu.size
-    if power <= 0 or mu.max(initial=0.0) <= 0:
+def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
+    """Water-filling Gram with trace ``power`` in the eigenbasis of ``a``.
+
+    Mode i of the Hermitian PSD matrix ``a`` gets max(level - 1/(scale
+    lambda_i), 0), null modes get nothing. With the finite floors sorted,
+    the level is (power + sum of the k lowest floors) / k for the largest k
+    whose level is not below the k-th floor.
+    """
+    lam, u = np.linalg.eigh(a)
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = 1.0 / (scale * np.maximum(np.real(lam), 0.0))
+    live = np.isfinite(floor)
+    n = lam.size
+    if power <= 0 or not live.any():
         return np.zeros((n, n), dtype=np.complex128)
-    scale = model.t / model.noise_s
-    inv_mu = np.where(mu > 0, 1.0 / np.maximum(mu, 1e-300), np.inf)
-
-    def alloc(level: float) -> np.ndarray:
-        p = (level - inv_mu) / scale
-        return np.where(np.isfinite(inv_mu), np.maximum(p, 0.0), 0.0)
-
-    lo = float(inv_mu.min())
-    hi = lo + scale * power + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        used = alloc(mid).sum()
-        if abs(used - power) < 1e-13 * max(1.0, power):
-            break
-        if used > power:
-            hi = mid
-        else:
-            lo = mid
-    p = alloc(0.5 * (lo + hi))
-    if p.sum() > 0:
-        p *= power / p.sum()
+    floors = np.sort(floor[live])
+    levels = (power + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    level = levels[np.flatnonzero(levels >= floors)[-1]]
+    p = np.where(live, np.maximum(level - floor, 0.0), 0.0)
     return (u * p) @ u.conj().T
-
-
-def _waterfill_comm(model: TrmModel, power: float) -> np.ndarray:
-    """Gram maximizing the Gaussian mutual information under a trace cap."""
-    g, v = np.linalg.eigh(model.h_c.conj().T @ model.h_c)
-    g = np.maximum(np.real(g), 0.0)
-    n = g.size
-    if power <= 0 or g.max(initial=0.0) <= 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    scale = model.t / model.noise_c
-    floor = np.where(g > 0, 1.0 / (scale * np.maximum(g, 1e-300)), np.inf)
-
-    def alloc(level: float) -> np.ndarray:
-        p = level - floor
-        return np.where(np.isfinite(floor), np.maximum(p, 0.0), 0.0)
-
-    lo = float(floor.min())
-    hi = lo + power + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        used = alloc(mid).sum()
-        if abs(used - power) < 1e-13 * max(1.0, power):
-            break
-        if used > power:
-            hi = mid
-        else:
-            lo = mid
-    p = alloc(0.5 * (lo + hi))
-    if p.sum() > 0:
-        p *= power / p.sum()
-    return (v * p) @ v.conj().T
 
 
 def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndarray, np.ndarray]:
@@ -286,8 +246,8 @@ def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndar
     water-filling of the sensing-estimate spectrum at the achieved rate.
     """
     budget = model.trace_budget
-    q_s = _waterfill_sensing(model, rho * budget)
-    q_c = _waterfill_comm(model, (1.0 - rho) * budget)
+    q_s = _waterfill(model.sigma_s, model.t / model.noise_s, rho * budget)
+    q_c = _waterfill(model.h_c.conj().T @ model.h_c, model.t / model.noise_c, (1.0 - rho) * budget)
     d_s = sensing_mse(model, q_s)
     rate = channel_mi(model, q_c)
     rwf = reverse_waterfill(gram_spectrum(model, q_s), rate)

@@ -1,43 +1,19 @@
-"""Backend selection and parity for the iterative kernels."""
-
-import os
-import subprocess
-import sys
+"""The NumPy Blahut-Arimoto kernels."""
 
 import numpy as np
-import pytest
 
 from cas_limits import KERNEL_BACKEND
-from cas_limits import _kernels_py
-
-try:
-    from cas_limits import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-from helpers import random_rows
+from cas_limits import kernels
 
 
 def test_backend_name_is_valid():
-    assert KERNEL_BACKEND in ("cython", "python")
-
-
-def test_env_override_forces_python_backend(tmp_path):
-    env = dict(os.environ, CAS_LIMITS_BACKEND="python")
-    out = subprocess.run(
-        [sys.executable, "-c", "import cas_limits; print(cas_limits.KERNEL_BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert KERNEL_BACKEND == "python"
 
 
 def test_capacity_kernel_matches_closed_form_bsc():
     eps = 0.1
     w = np.array([[1 - eps, eps], [eps, 1 - eps]])
-    p, _ = _kernels_py.ba_capacity(w, np.zeros(2))
+    p, _ = kernels.ba_capacity(w, np.zeros(2))
     py = p @ w
     cap = float(
         np.einsum("x,xy->", p, w * (np.log(w) - np.log(py)[None, :]))
@@ -49,15 +25,15 @@ def test_capacity_kernel_matches_closed_form_bsc():
 
 def test_capacity_kernel_penalty_shifts_mass():
     w = np.array([[0.9, 0.1], [0.1, 0.9]])
-    p0, _ = _kernels_py.ba_capacity(w, np.zeros(2))
-    p1, _ = _kernels_py.ba_capacity(w, np.array([1.0, 0.0]))
+    p0, _ = kernels.ba_capacity(w, np.zeros(2))
+    p1, _ = kernels.ba_capacity(w, np.array([1.0, 0.0]))
     assert p1[0] < p0[0]
 
 
 def test_rd_kernel_zero_mass_rows_get_point_masses():
     p = np.array([0.7, 0.0, 0.3])
     d = np.array([[0.0, 1.0], [0.2, 0.1], [1.0, 0.0]])
-    cond, rate, dist, _ = _kernels_py.ba_rate_distortion(p, d, beta=2.0)
+    cond, rate, dist, _ = kernels.ba_rate_distortion(p, d, beta=2.0)
     assert cond.shape == (3, 2)
     assert np.allclose(cond.sum(axis=1), 1.0)
     assert cond[1, 1] == 1.0  # cheapest column for the idle row
@@ -70,27 +46,6 @@ def test_rd_kernel_sits_on_the_bernoulli_curve():
     p = np.array([0.5, 0.5])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     for beta in (0.5, 1.0, 2.0, 4.0):
-        _, rate, dist, _ = _kernels_py.ba_rate_distortion(p, d, beta)
+        _, rate, dist, _ = kernels.ba_rate_distortion(p, d, beta)
         hd = -(dist * np.log(dist) + (1 - dist) * np.log(1 - dist))
         assert abs(rate - (np.log(2) - hd)) < 1e-8
-
-
-@pytest.mark.skipif(_kernels_c is None, reason="compiled backend not built")
-def test_backends_agree_on_random_problems(rng):
-    for _ in range(20):
-        nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        w = random_rows(rng, (nx, ny))
-        pen = rng.uniform(0.0, 0.5, nx)
-        p_py, _ = _kernels_py.ba_capacity(w, pen)
-        p_c, _ = _kernels_c.ba_capacity(w, pen)
-        assert np.allclose(p_py, p_c, atol=1e-10)
-
-        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        src = random_rows(rng, (m,))
-        dist = rng.uniform(0.0, 1.0, (m, n))
-        beta = float(rng.uniform(0.2, 5.0))
-        c_py, r_py, d_py, _ = _kernels_py.ba_rate_distortion(src, dist, beta)
-        c_c, r_c, d_c, _ = _kernels_c.ba_rate_distortion(src, dist, beta)
-        assert abs(r_py - r_c) < 1e-10
-        assert abs(d_py - d_c) < 1e-10
-        assert np.allclose(c_py, c_c, atol=1e-9)

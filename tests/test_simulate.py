@@ -1,6 +1,8 @@
 """Monte Carlo validation of the Gaussian chain."""
 
 import csv
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +111,39 @@ def test_trial_dump_schema(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["d_s", "d_c", "d_total", "cross"]
     assert len(rows) == 501
+
+
+def test_trial_dump_bytes_are_pinned(tmp_path):
+    # two workers of 4,500 trials each cross a batch boundary; the digests
+    # pin the header, the row order and the .17g formatting
+    model = random_trm_model(6, n=2, m_s=2, m_c=2, t=4)
+    x = uniform_waveform(model)
+    path = tmp_path / "trials.csv"
+    simulate_end_to_end(model, x, 1.0, 9_000, seed=9, n_workers=2, dump_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "70be98230b35c56c81f50f717d186c49f898e1ee23c5b100b1bc2422388512a1"
+    )
+    simulate_sensing(model, x, 9_000, seed=9, n_workers=2, dump_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "59f1bbd100142671e8370313b55d7f5fb20805affa177ac345db4375a29e8316"
+    )
+
+
+def test_trial_dump_memory_does_not_grow_with_trials(tmp_path):
+    # a dump that kept every row until the end would add about 13 MB here
+    model = random_trm_model(6, n=2, m_s=2, m_c=2, t=4)
+    x = uniform_waveform(model)
+
+    def peak(dump_path):
+        tracemalloc.start()
+        try:
+            simulate_end_to_end(model, x, 1.0, 80_000, seed=9, dump_path=dump_path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = peak(tmp_path / "trials.csv") - peak(None)
+    assert extra < 2e6
 
 
 def test_report_serializes_to_json(tmp_path):

@@ -18,8 +18,7 @@ from cas_limits.gaussian import gram_spectrum
 from cas_limits.waveform import (
     CSV_COLUMNS,
     _objective,
-    _waterfill_comm,
-    _waterfill_sensing,
+    _waterfill,
     curve_rows,
     evaluate_gram,
     read_curve_csv,
@@ -131,19 +130,25 @@ def test_comm_waterfilling_two_mode_closed_form():
         sigma_s=np.eye(2), h_c=np.diag([2.0, 1.0]), noise_s=1.0, noise_c=1.0,
         t=4, m_s=1, power=1.0,
     )
+    gram = model.h_c.conj().T @ model.h_c
     power = 2.0
     scale = model.t / model.noise_c
-    q = _waterfill_comm(model, power)
+    q = _waterfill(gram, scale, power)
     p = np.real(np.diag(q))[::-1]  # eigh returns ascending gains
     level = (power + 1.0 / (scale * 4.0) + 1.0 / (scale * 1.0)) / 2.0
     expect = np.array([level - 1.0 / (scale * 4.0), level - 1.0 / (scale * 1.0)])
     assert np.allclose(np.sort(p), np.sort(expect), atol=1e-9)
     assert np.real(np.trace(q)) == pytest.approx(power, abs=1e-9)
+    # below 1/(scale 1) - 1/(scale 4) only the stronger mode is filled
+    power = 0.5 * (1.0 / (scale * 1.0) - 1.0 / (scale * 4.0))
+    q = _waterfill(gram, scale, power)
+    assert np.allclose(np.real(np.diag(q)), [power, 0.0], atol=1e-12)
+    assert np.real(np.trace(q)) == pytest.approx(power, abs=1e-12)
 
 
 def test_sensing_waterfilling_spends_the_power():
     model = random_trm_model(12, n=3, m_s=2, m_c=2, t=8)
-    q = _waterfill_sensing(model, 1.5)
+    q = _waterfill(model.sigma_s, model.t / model.noise_s, 1.5)
     assert np.real(np.trace(q)) == pytest.approx(1.5, abs=1e-9)
     assert np.all(np.linalg.eigvalsh(q) >= -1e-12)
     # spending power on the prior eigenbasis beats the unscaled identity
