@@ -88,20 +88,25 @@ class Config:
         self.mode = mode
         self.data = data
         self.base_dir = base_dir
-        self.seed = int(data.get("seed", 0))
+        self.seed = self.value("seed", int, 0)
         self.bits = bool(data.get("bits", False))
         self.out_dir = data.get("out_dir", ".")
-        self.trials = data.get("trials")
-        self.grid = data.get("grid")
-        for name in ("grid",):
-            if self.data.get(name) is not None and float(self.data[name]) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        self.trials = self.value("trials", int, 10_000)
+        self.grid = self.value("grid", float, 1e-3)
+        if self.grid <= 0:
+            raise ConfigError("grid must be positive")
 
-    def require(self, *names):
-        for name in names:
-            if name not in self.data:
+    def value(self, name: str, kind=None, default=None):
+        """Field ``name``, converted by ``kind`` if given; required when there is no default."""
+        raw = self.data.get(name)
+        if raw is None:
+            if default is None:
                 raise ConfigError(f"mode {self.mode}: missing required field '{name}'")
-        return [self.data[n] for n in names]
+            return default
+        try:
+            return raw if kind is None else kind(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     def path(self, rel: str) -> str:
         if os.path.isabs(rel):
@@ -114,7 +119,7 @@ class Config:
         return os.path.join(out, rel)
 
     def trm_model(self) -> TrmModel:
-        (spec,) = self.require("model")
+        spec = self.value("model")
         if isinstance(spec, str):
             return load_trm_model(self.path(spec))
         if isinstance(spec, dict):
@@ -143,15 +148,15 @@ def _point_payload(point, bits: bool) -> dict:
 
 
 def _run_discrete_capacity(cfg: Config) -> list[str]:
-    model_path, d_s, budget = cfg.require("model", "d_s", "budget")
-    model = load_finite_cas_model(cfg.path(model_path))
-    capacity, px = discrete.constrained_capacity(model, float(d_s), float(budget))
+    model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
+    d_s, budget = cfg.value("d_s", float), cfg.value("budget", float)
+    capacity, px = discrete.constrained_capacity(model, d_s, budget)
     payload = {
         "capacity": _rate(capacity, cfg.bits),
         "units": _unit(cfg.bits),
         "input_distribution": px.probs.tolist(),
-        "d_s": float(d_s),
-        "budget": float(budget),
+        "d_s": d_s,
+        "budget": budget,
     }
     out = cfg.out_path(cfg.data.get("output", "capacity.json"))
     _atomic_write_file(lambda p: _write_json(payload, p), out)
@@ -160,14 +165,16 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
 
 
 def _run_discrete_rd(cfg: Config) -> list[str]:
-    source, dist, d_c = cfg.require("source", "distortion", "d_c")
-    rate, cond = discrete.rate_distortion_discrete(
-        np.asarray(source, dtype=np.float64), np.asarray(dist, dtype=np.float64), float(d_c)
-    )
+    try:
+        source, dist = discrete._rd_inputs(cfg.value("source"), cfg.value("distortion"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    d_c = cfg.value("d_c", float)
+    rate, cond = discrete.rate_distortion_discrete(source, dist, d_c)
     payload = {
         "rate": _rate(rate, cfg.bits),
         "units": _unit(cfg.bits),
-        "d_c": float(d_c),
+        "d_c": d_c,
         "test_channel": cond.tolist(),
     }
     out = cfg.out_path(cfg.data.get("output", "rate_distortion.json"))
@@ -177,10 +184,8 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
 
 
 def _run_discrete_tradeoff(cfg: Config) -> list[str]:
-    model_path, budget = cfg.require("model", "budget")
-    model = load_finite_cas_model(cfg.path(model_path))
-    grid = float(cfg.grid if cfg.grid is not None else cfg.data.get("grid", 1e-3) or 1e-3)
-    point = discrete.min_total_distortion(model, float(budget), grid=grid)
+    model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
+    point = discrete.min_total_distortion(model, cfg.value("budget", float), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.data.get("output", "tradeoff.json"))
     _atomic_write_file(lambda p: _write_json(payload, p), out)
@@ -193,7 +198,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
 
 def _run_trm_optimize(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    res = waveform.optimize_isac(model, max_iter=int(cfg.data.get("max_iter", waveform.MAX_ITER)))
+    res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", int, waveform.MAX_ITER))
     payload = {
         "point": _point_payload(res.point, cfg.bits),
         "trace_used": res.trace_used,
@@ -212,8 +217,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
 
 def _run_trm_sw(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    split_grid = int(cfg.data.get("split_grid", 101))
-    res = waveform.optimize_sw(model, split_grid=split_grid)
+    res = waveform.optimize_sw(model, split_grid=cfg.value("split_grid", int, 101))
     q_s, q_c = res.q_star
     payload = {
         "point": _point_payload(res.point, cfg.bits),
@@ -236,14 +240,13 @@ def _complex_payload(a: np.ndarray) -> list:
 
 def _run_snr_sweep(cfg: Config) -> list[str]:
     template = cfg.trm_model()
-    (snr_db,) = cfg.require("snr_db")
     schemes = tuple(cfg.data.get("schemes", ["isac", "sw"]))
     curve = waveform.sweep_snr(
         template,
-        [float(s) for s in snr_db],
+        cfg.value("snr_db", lambda v: [float(s) for s in v]),
         schemes=schemes,
-        split_grid=int(cfg.data.get("split_grid", 101)),
-        max_iter=int(cfg.data.get("max_iter", waveform.MAX_ITER)),
+        split_grid=cfg.value("split_grid", int, 101),
+        max_iter=cfg.value("max_iter", int, waveform.MAX_ITER),
     )
     out_csv = cfg.out_path(cfg.data.get("output_csv", "sweep.csv"))
     out_json = cfg.out_path(cfg.data.get("output_json", "sweep.json"))
@@ -260,14 +263,12 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
 
 def _run_simulate(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    trials = int(cfg.trials if cfg.trials is not None else cfg.data.get("trials", 10_000))
-    seed = cfg.seed
     wf_spec = cfg.data.get("waveform", "uniform")
     if wf_spec == "uniform":
         q = (model.trace_budget / model.n) * np.eye(model.n)
         x = waveform_from_gram(model, q)
     elif wf_spec == "isac-optimal":
-        res = waveform.optimize_isac(model, max_iter=int(cfg.data.get("max_iter", 500)))
+        res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", int, 500))
         x = waveform_from_gram(model, res.q_star)
     elif isinstance(wf_spec, list):
         from .modelio import pairs_to_complex
@@ -279,24 +280,23 @@ def _run_simulate(cfg: Config) -> list[str]:
     dump = cfg.data.get("dump_trials")
     dump_path = cfg.out_path(dump) if dump else None
     if cfg.data.get("end_to_end", True):
-        rate_spec = cfg.data.get("rate_budget", "mi")
-        if rate_spec == "mi":
+        if cfg.data.get("rate_budget", "mi") == "mi":
             rate_budget = channel_mi(model, GramMatrix(x @ x.conj().T))
         else:
-            rate_budget = float(rate_spec)
+            rate_budget = cfg.value("rate_budget", float)
         report = simulate.simulate_end_to_end(
-            model, x, rate_budget, trials, seed,
-            n_workers=int(cfg.data.get("workers", 1)), dump_path=dump_path,
+            model, x, rate_budget, cfg.trials, cfg.seed,
+            n_workers=cfg.value("workers", int, 1), dump_path=dump_path,
         )
     else:
         report = simulate.simulate_sensing(
-            model, x, trials, seed,
-            n_workers=int(cfg.data.get("workers", 1)), dump_path=dump_path,
+            model, x, cfg.trials, cfg.seed,
+            n_workers=cfg.value("workers", int, 1), dump_path=dump_path,
         )
     out = cfg.out_path(cfg.data.get("output", "simulation.json"))
     _atomic_write_file(report.to_json, out)
     print(
-        f"simulated {trials} trials: d_s={report.d_s_emp:.6f} "
+        f"simulated {cfg.trials} trials: d_s={report.d_s_emp:.6f} "
         f"(analytic {report.d_s_analytic:.6f})"
     )
     if report.d_c_emp is not None:

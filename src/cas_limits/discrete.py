@@ -30,8 +30,7 @@ RD_BA_TOL = 1e-13       # certified dual gap per rate-distortion Blahut-Arimoto 
 RD_TOL = 1e-12          # R(D) searches stop once their upper and lower bounds agree to this
 BA_MAX_ITER = 100_000
 BA_POLISH_AFTER = 300    # Blahut-Arimoto iterations before a Newton polish is tried
-SLACK_TOL = 1e-8        # multiplier bisection stops at this constraint slack
-_MU_CAP = 1e12          # multiplier doubling safety cap
+SLACK_TOL = 1e-8        # limits this far below every input law's cost are raised to it
 _BETA_CAP = 1e8         # rate-distortion slope doubling safety cap
 _BISECT_STEPS = 200
 _NEWTON_STEPS = 50
@@ -206,79 +205,94 @@ def mutual_information(p_x: np.ndarray, channel: np.ndarray) -> float:
     return float(max(0.0, np.einsum("x,xy,xy->", p_x, channel, ratio)))
 
 
-def _check_intersection(e: np.ndarray, b: np.ndarray, d_s: float, budget: float) -> None:
-    """LP feasibility of {p on simplex : E[e] <= d_s, E[b] <= budget}."""
-    res = linprog(
-        c=np.zeros_like(e),
-        A_ub=np.vstack([e, b]),
-        b_ub=np.array([d_s + SLACK_TOL, budget + SLACK_TOL]),
-        A_eq=np.ones((1, e.size)),
-        b_eq=np.array([1.0]),
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if res.status != 0:
-        raise InfeasibleConstraint(
-            f"no input distribution satisfies E[e] <= {d_s} and E[b] <= {budget}"
-        )
-
-
 def _warn(message: str) -> None:
     warnings.warn(message, ConvergenceWarning, stacklevel=3)
 
 
-def _simplex_newton(x: np.ndarray, oracle, tol: float) -> tuple[np.ndarray, float]:
+def _simplex_newton(x, oracle, tol, rows=None, limits=None) -> tuple[np.ndarray, float]:
     """Polish a near-optimal point of a concave function over the simplex.
 
-    Active-set Newton: each step solves the KKT system of the quadratic
-    model on the support {x > 0}. A coordinate that a step drives to zero
-    leaves the support; once the support is optimal, the coordinate with
-    the largest gradient outside it joins. ``oracle(x)`` returns the value,
-    gradient and Hessian. Returns the point and its Frank-Wolfe gap
-    ``max(grad) - x @ grad``, which bounds the distance to the maximum; the
-    caller accepts the point only when the gap is below ``tol``.
+    With rows, the simplex is also cut by ``rows @ x <= limits``.
+    Active-set Newton on the face {x > 0} with the held rows at their
+    limits: each step solves the quadratic model in the null space of the
+    face, which also puts held rows that drifted back on their limits. A
+    coordinate that a step drives to zero leaves the support and a row
+    that a step reaches is held; once the point is stationary on its face,
+    a held row whose multiplier is below ``tol`` is released, or else the
+    coordinate with the largest Lagrangian gradient outside the support
+    joins. ``oracle(x)`` returns the value, gradient and Hessian. Returns
+    the point and its Lagrangian gap ``max(grad - mu @ rows) + mu @ limits
+    - x @ grad``. For mu >= 0 it bounds the distance to the maximum, as
+    f(y) - f(x) <= grad @ (y - x) <= that gap for feasible y. mu is fitted
+    on the face, or chosen by a linear program where that does not
+    certify (a degenerate vertex). With no rows it is the Frank-Wolfe gap
+    ``max(grad) - x @ grad``. The caller accepts the point only when the
+    gap is below ``tol``.
 
-    The start is screened first: coordinates below ``_SCREEN`` times the
-    largest one are set to zero. A Blahut-Arimoto iterate drains letters
-    off the optimal support only geometrically, so without the screen each
-    of them would cost a Newton step to drop, and a wide R(D) problem has
-    more of them than ``_NEWTON_STEPS``. A coordinate screened out wrongly
-    keeps a gradient above ``x @ grad`` at the optimum of the smaller
-    support, so the admission rule brings it back, and the gap test still
-    decides acceptance: the screen changes the work, not the answer.
+    With no rows the start is screened first: coordinates below
+    ``_SCREEN`` times the largest one are set to zero. A Blahut-Arimoto
+    iterate drains letters off the optimal support only geometrically, so
+    without the screen each of them would cost a Newton step to drop, and a
+    wide R(D) problem has more of them than ``_NEWTON_STEPS``. A coordinate
+    screened out wrongly keeps a gradient above ``x @ grad`` at the optimum
+    of the smaller support, so the admission rule brings it back, and the
+    gap test still decides acceptance: the screen changes the work, not the
+    answer.
     """
-    x = np.where(x < _SCREEN * x.max(), 0.0, x)
-    x /= x.sum()
+    if rows is None:
+        rows, limits = np.zeros((0, x.size)), np.zeros(0)
+        x = np.where(x < _SCREEN * x.max(), 0.0, x)
+        x /= x.sum()
+    held = rows @ x >= limits
     f, g, h = oracle(x)
-    gap = float(g.max() - x @ g)
-    for _ in range(_NEWTON_STEPS):
-        if gap < tol:
-            break
+
+    def gap_at(mu):
+        return float((g - mu @ rows).max() + mu @ limits - x @ g)
+
+    for k in range(_NEWTON_STEPS + 1):
         free = x > 0.0
-        if g[free].max() - x @ g < tol:
-            free[np.argmax(np.where(free, -np.inf, g))] = True
+        mu = np.zeros(limits.size)
+        if held.any():
+            face = np.vstack([np.ones(free.sum()), rows[held][:, free]])
+            mu[held] = np.linalg.lstsq(face.T, g[free], rcond=None)[0][1:]
+        gap = gap_at(np.maximum(mu, 0.0))
+        if gap < tol or k == _NEWTON_STEPS:
+            break
+        lag = g - mu @ rows
+        if lag[free].max() - x @ lag < tol:
+            # stationary on its face: release a row or admit a coordinate
+            if held.any() and mu[held].min() < tol:
+                held[np.argmin(np.where(held, mu, np.inf))] = False
+            else:
+                free[np.argmax(np.where(free, -np.inf, lag))] = True
         s = np.flatnonzero(free)
-        n = s.size
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = h[np.ix_(s, s)]
-        kkt[:n, n] = -1.0
-        kkt[n, :n] = 1.0
-        u, sv, vt = np.linalg.svd(kkt)
-        rank = sv > 1e-12 * sv[0]
-        slope = float(g[s] @ vt[-1, :n])
-        if not rank[-1] and slope != 0.0:
-            # the function is linear along the null direction of the KKT
-            # matrix: follow it uphill until a coordinate reaches zero
-            step, t_max = math.copysign(1.0, slope) * vt[-1, :n], math.inf
+        eq = np.vstack([np.ones(x.size), rows[held]])
+        u, sv, vt = np.linalg.svd(eq[:, s])
+        rank = int(np.sum(sv > 1e-12 * sv[0]))
+        residual = np.append(1.0, limits[held]) - eq[:, s] @ x[s]
+        base = vt[:rank].T @ ((u[:, :rank].T @ residual) / sv[:rank])
+        null = vt[rank:].T
+        hs = h[np.ix_(s, s)]
+        curv, basis = np.linalg.eigh(null.T @ hs @ null)
+        slope = basis.T @ (null.T @ (g[s] + hs @ base))
+        flat = curv >= 1e-12 * min(curv.min(initial=0.0), 0.0)
+        if np.any(slope[flat] != 0.0):
+            # the model is linear along the flat directions of the face:
+            # follow its gradient there until the boundary
+            step = null @ (basis[:, flat] @ slope[flat])
+            step, t_max = step / np.linalg.norm(step), math.inf
         else:
-            # minimum-norm Newton step
-            rhs = u[:, rank].T @ np.append(-g[s], 0.0)
-            step, t_max = (vt[rank].T @ (rhs / sv[rank]))[:n], 1.0
+            # Newton step on the face
+            step = base - null @ (basis[:, ~flat] @ (slope[~flat] / curv[~flat]))
+            t_max = 1.0
         ratio = np.where(step < 0.0, -x[s] / np.minimum(step, -1e-300), np.inf)
+        rise = rows[:, s] @ step
+        reach = np.where(~held & (rise > 0.0),
+                         np.maximum(limits - rows @ x, 0.0) / np.maximum(rise, 1e-300), np.inf)
         block = int(ratio.argmin())
-        if ratio[block] == 0.0 and x[s[block]] == 0.0:
-            break  # the admitted coordinate would leave at once: stalled
-        t = min(t_max, float(ratio[block]))
+        t = min(t_max, float(ratio[block]), reach.min(initial=math.inf))
+        if t == 0.0:
+            break  # the face admits no move: stalled
         for _ in range(40):
             y = x.copy()
             y[s] += t * step
@@ -292,8 +306,14 @@ def _simplex_newton(x: np.ndarray, oracle, tol: float) -> tuple[np.ndarray, floa
             t *= 0.5
         else:
             break  # no ascent left: the polish has stalled
+        held |= reach <= t
         x, f, g, h = y, fy, gy, hy
-        gap = float(g.max() - x @ g)
+    if gap >= tol and limits.size:
+        # min over (t, mu >= 0) of t + mu @ limits with t >= grad - mu @ rows
+        res = linprog(np.append(1.0, limits), A_ub=np.hstack([-np.ones((x.size, 1)), -rows.T]),
+                      b_ub=-g, bounds=[(None, None)] + [(0.0, None)] * limits.size)
+        if res.status == 0:
+            gap = min(gap, gap_at(np.maximum(res.x[1:], 0.0)))
     return x, gap
 
 
@@ -317,95 +337,61 @@ def _certified_ba(kernel, polish, tol: float, what: str):
     return out
 
 
-def _capacity_input(w: np.ndarray, penalty: np.ndarray, what: str) -> np.ndarray:
-    """Input law maximizing I(p; w) - p @ penalty, certified to BA_TOL."""
-    base = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1) - penalty
-
-    def oracle(p):
-        q = p @ w
-        score = base - w @ np.log(q + _LOG_FLOOR)
-        return p @ score, score, -(w / (q + _LOG_FLOOR)) @ w.T
-
-    return _certified_ba(
-        lambda max_iter: ba_capacity(w, penalty, BA_TOL, max_iter),
-        lambda p: _simplex_newton(p, oracle, BA_TOL),
-        BA_TOL,
-        what,
-    )
-
-
-def _smallest_multiplier(solve, slack, name: str) -> np.ndarray:
-    """Solution at the smallest multiplier mu >= 0 with slack(solve(mu)) <= 0.
-
-    Doubles mu from 1 to bracket the constraint, then bisects until the
-    slack is below SLACK_TOL. If the bracket collapses first, the solution
-    jumps across the constraint at that multiplier; both ends then solve
-    the same penalized problem, so does every mixture of them, and the
-    mixture with zero slack is returned.
-    """
-    p = solve(0.0)
-    if slack(p) <= SLACK_TOL:
-        return p
-    lo, hi, p_lo = 0.0, 1.0, p
-    p_hi = solve(hi)
-    while slack(p_hi) > 0 and hi < _MU_CAP:
-        lo, hi, p_lo = hi, 2.0 * hi, p_hi
-        p_hi = solve(hi)
-    if slack(p_hi) > 0:
-        _warn(f"constrained_capacity: {name} multiplier reached its cap {hi:.3g}; "
-              f"slack {slack(p_hi):.3e}")
-        return p_hi
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        p = solve(mid)
-        s = slack(p)
-        if abs(s) < SLACK_TOL:
-            return p
-        if s > 0:
-            lo, p_lo = mid, p
-        else:
-            hi, p_hi = mid, p
-        if hi - lo < 1e-15 * max(1.0, hi):
-            s_lo, s_hi = slack(p_lo), slack(p_hi)
-            return (s_lo * p_hi - s_hi * p_lo) / (s_lo - s_hi)
-    _warn(f"constrained_capacity: {name} multiplier bisection used all {_BISECT_STEPS} "
-          f"steps at mu={hi:.6g}; slack {slack(p_hi):.3e}")
-    return p_hi
-
-
 def constrained_capacity(
     model: FiniteCasModel, d_s: float, budget: float
 ) -> tuple[float, InputDistribution]:
     """Capacity under the estimation-distortion and resource-cost constraints.
 
     Maximizes I(X;Y) over the simplex intersected with E[e(X)] <= d_s and
-    E[b(X)] <= budget. Solved by penalized Blahut-Arimoto with one Lagrange
-    multiplier per constraint, each driven by bisection until the active
-    constraint slack is below SLACK_TOL. Each penalized problem is solved
-    to a certified gap below BA_TOL (a Newton polish finishes runs that
-    Blahut-Arimoto alone would take too long to certify); a run or search
-    that ends uncertified raises a ConvergenceWarning.
+    E[b(X)] <= budget. One Blahut-Arimoto run certifies the unconstrained
+    capacity to BA_TOL (a Newton polish finishes runs that Blahut-Arimoto
+    alone would take too long to certify); if its input law meets both
+    constraints it is the answer. Otherwise the active-set Newton method
+    of ``_simplex_newton`` solves the constrained problem from the last
+    feasible point on the segment from a vertex of the feasible set to that
+    law, with the constraints held to rounding, and certifies its answer by
+    a Lagrangian gap below BA_TOL or raises a ConvergenceWarning. Limits at
+    most SLACK_TOL below what every input law costs are raised to it.
     """
-    e = estimate_costs(model)
-    b = model.cost
     w = model.comm_law
-    if d_s < e.min() - SLACK_TOL or budget < b.min() - SLACK_TOL:
-        raise InfeasibleConstraint(
-            f"d_s={d_s} below min estimate-cost {e.min()} or budget={budget} "
-            f"below min resource cost {b.min()}"
-        )
-    _check_intersection(e, b, d_s, budget)
+    rows = np.vstack([estimate_costs(model), model.cost])
+    limits = np.array([d_s, budget], dtype=np.float64)
+    # the input law with the least excess max(rows @ p - limits), a vertex of this program
+    n = w.shape[0]
+    res = linprog(np.eye(n + 1)[n], A_ub=np.hstack([rows, -np.ones((2, 1))]), b_ub=limits,
+                  A_eq=[[1.0] * n + [0.0]], b_eq=[1.0], bounds=[(0.0, None)] * n + [(None, None)])
+    if res.status != 0:
+        raise ArithmeticError(f"least-excess linear program: {res.message}")
+    vertex = np.maximum(res.x[:n], 0.0)
+    at_vertex = rows @ vertex
+    if np.max(at_vertex - limits) > SLACK_TOL:
+        raise InfeasibleConstraint(f"no input law has E[e] <= {d_s} and E[b] <= {budget}")
+    limits = np.maximum(limits, at_vertex)
+    # a row constant over the inputs up to rounding holds for every input law
+    varies = np.ptp(rows, axis=1) > 1e-12 * np.abs(rows).max(axis=1)
+    rows, limits, at_vertex = rows[varies], limits[varies], at_vertex[varies]
+    base = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1)
 
-    def budget_adjusted(mu_e: float) -> np.ndarray:
-        return _smallest_multiplier(
-            lambda mu_b: _capacity_input(
-                w, mu_e * e + mu_b * b, f"constrained_capacity at mu_e={mu_e:.6g}, mu_b={mu_b:.6g}"
-            ),
-            lambda p: p @ b - budget,
-            "budget",
-        )
+    def oracle(p):
+        q = p @ w
+        score = base - w @ np.log(q + _LOG_FLOOR)
+        return p @ score, score, -(w / (q + _LOG_FLOOR)) @ w.T
 
-    p = _smallest_multiplier(budget_adjusted, lambda p: p @ e - d_s, "distortion")
+    p = _certified_ba(
+        lambda max_iter: ba_capacity(w, np.zeros(n), BA_TOL, max_iter),
+        lambda p: _simplex_newton(p, oracle, BA_TOL),
+        BA_TOL,
+        "constrained_capacity",
+    )
+    at_p = rows @ p
+    over = at_p > limits
+    if over.any():
+        # the last feasible point on the segment from the vertex to p
+        t = np.min((limits - at_vertex)[over] / (at_p - at_vertex)[over])
+        p, gap = _simplex_newton(vertex + t * (p - vertex), oracle, BA_TOL, rows, limits)
+        if gap >= BA_TOL:
+            _warn(f"constrained_capacity at d_s={d_s:.12g}, budget={budget:.12g}: "
+                  f"Newton solve stopped uncertified; gap {gap:.3e}")
     return mutual_information(p, w), InputDistribution(p)
 
 
@@ -532,6 +518,18 @@ def _rd_search(source, distortion, past, bound_gap, what: str):
     return lo, hi
 
 
+def _rd_inputs(source, distortion) -> tuple[np.ndarray, np.ndarray]:
+    """``source`` and ``distortion`` as float arrays, checked to pose a rate-distortion problem."""
+    source = np.asarray(source, dtype=np.float64)
+    distortion = np.asarray(distortion, dtype=np.float64)
+    _check_prob(source, "source")
+    if distortion.ndim != 2 or source.size != distortion.shape[0]:
+        raise ValueError("distortion: expected one row per source letter")
+    if np.any(distortion < 0) or not np.all(np.isfinite(distortion)):
+        raise ValueError("distortion: entries must be finite and nonnegative")
+    return source, distortion
+
+
 def rate_distortion_discrete(
     source: np.ndarray, distortion: np.ndarray, d_c: float
 ) -> tuple[float, np.ndarray]:
@@ -545,13 +543,7 @@ def rate_distortion_discrete(
     returned rate is the chord value and the channel the time-sharing mix,
     whose distortion is exactly d_c.
     """
-    source = np.asarray(source, dtype=np.float64)
-    distortion = np.asarray(distortion, dtype=np.float64)
-    _check_prob(source, "source")
-    if source.size != distortion.shape[0]:
-        raise ValueError("distortion rows must match the source alphabet")
-    if np.any(distortion < 0) or not np.all(np.isfinite(distortion)):
-        raise ValueError("distortion: entries must be finite and nonnegative")
+    source, distortion = _rd_inputs(source, distortion)
     if d_c < 0:
         raise UnreachableDistortion(f"d_c={d_c} is negative")
 

@@ -178,7 +178,10 @@ def simulate_sensing(
     n_workers: int = 1,
     dump_path=None,
 ) -> SimReport:
-    """Estimate the sensing MSE empirically for waveform x (N x T)."""
+    """Estimate the sensing MSE empirically for waveform x (N x T).
+
+    ``n_workers`` only sets the number of RNG substreams, which run serially.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     sums, _ = _run_chain(model, x, None, n_trials, seed, n_workers, dump_path)
@@ -207,7 +210,8 @@ def simulate_end_to_end(
 
     Per retained eigenmode the reconstruction is a scaled estimate plus
     independent Gaussian noise matched to the reverse-water-filling
-    allocation; fully allocated modes reconstruct to zero.
+    allocation; fully allocated modes reconstruct to zero. ``n_workers``
+    only sets the number of RNG substreams, which run serially.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")

@@ -202,3 +202,31 @@ def test_unwritable_output_exits_4(tmp_path):
         "out_dir": "results",
     })
     assert main(["--config", cfg]) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid", "abc"),
+    ("seed", "x"),
+    ("d_c", "zz"),
+    ("source", [0.6, 0.5]),
+    ("distortion", [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    ("distortion", [[0.0, -1.0], [1.0, 0.0]]),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, field, value):
+    payload = {
+        "mode": "discrete-rd",
+        "source": [0.5, 0.5],
+        "distortion": [[0.0, 1.0], [1.0, 0.0]],
+        "d_c": 0.2,
+    }
+    payload[field] = value
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_model_path_that_is_not_a_string_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "mode": "discrete-capacity", "model": 5, "d_s": 1.0, "budget": 1.0,
+    })
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linprog, minimize_scalar
 
 from cas_limits import (
     ConvergenceWarning,
@@ -191,9 +191,7 @@ def test_budget_just_above_a_vertex_matches_the_pinned_input_law():
     # With two inputs the binding budget pins p to the edge point
     # p_edge = (1 - 1e-8, 1e-8), so I(p_edge) is an exact oracle. The
     # optimum puts 1e-8 mass on the dear input, where plain Blahut-Arimoto
-    # would run to its iteration cap. The multiplier bisection resolves the
-    # budget to SLACK_TOL = 1e-8, which moves I by at most
-    # D(W_1 || W_0) * SLACK_TOL / (b_1 - b_0) = 3.4e-11 here.
+    # would run to its iteration cap.
     model = binary_sensing_model(comm_eps=0.3, cost=(0.0, 100.0))
     budget = float(model.cost.min()) + 1e-6
     with warnings.catch_warnings():
@@ -240,6 +238,67 @@ def test_budget_constraint_binds(rng):
     cap_tight, px = constrained_capacity(model, d_s=1.0, budget=0.2)
     assert px.probs @ model.cost <= 0.2 + 1e-7
     assert cap_tight <= cap_loose + 1e-9
+
+
+def _capacity_dual_bound(w, p, rows, limits):
+    """Smallest Lagrangian upper bound on the capacity under rows @ p <= limits.
+
+    For every mu >= 0 and the output law q = p @ w,
+    C <= max_x [D(w_x || q) - mu @ rows[:, x]] + mu @ limits; a linear
+    program in (t, mu) minimizes it.
+    """
+    div = (w * np.log(w / (p @ w))).sum(axis=1)
+    res = linprog(
+        c=np.append(1.0, limits),
+        A_ub=np.hstack([-np.ones((w.shape[0], 1)), -rows.T]),
+        b_ub=-div,
+        bounds=[(None, None)] + [(0.0, None)] * len(limits),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def _random_capacity_problems():
+    """(model, d_s, budget) on random 2-5-input models, all of them feasible.
+
+    Per model: limits met exactly by a random input law, d_s = min e with a
+    budget that the cheapest-to-sense input meets, and budget = min b with
+    a d_s that the cheapest input meets. Then models whose sensing ignores
+    the input, so that e is constant and E[e] <= d_s is tight for every law.
+    """
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        model = random_finite_model(rng, n_x=int(rng.integers(2, 6)))
+        e, b = estimate_costs(model), model.cost
+        law = random_rows(rng, (e.size,))
+        yield model, float(law @ e), float(law @ b)
+        i, j = int(e.argmin()), int(b.argmin())
+        yield model, float(e[i]), float(b[i] + rng.uniform() * (b.max() - b[i]))
+        yield model, float(e[j] + rng.uniform() * (e.max() - e[j])), float(b[j])
+    for _ in range(5):
+        n_x = int(rng.integers(2, 6))
+        model = FiniteCasModel(
+            state_prior=random_rows(rng, (2,)),
+            sensing_law=np.broadcast_to(random_rows(rng, (2, 2)), (n_x, 2, 2)),
+            comm_law=random_rows(rng, (n_x, 3)),
+            distortion=rng.uniform(0.0, 1.0, (2, 2)),
+            cost=rng.uniform(0.0, 1.0, n_x),
+        )
+        e, b = estimate_costs(model), model.cost
+        yield model, float(e.max()), float(b.min() + rng.uniform(0.05, 0.95) * np.ptp(b))
+
+
+def test_constrained_capacity_meets_its_dual_bound():
+    problems = list(_random_capacity_problems())
+    assert any(np.ptp(estimate_costs(m)) == 0.0 for m, _, _ in problems)
+    for model, d_s, budget in problems:
+        cap, px = constrained_capacity(model, d_s, budget)
+        rows = np.vstack([estimate_costs(model), model.cost])
+        limits = np.array([d_s, budget])
+        assert np.all(rows @ px.probs <= limits + 1e-12), (d_s, budget)
+        bound = _capacity_dual_bound(model.comm_law, px.probs, rows, limits)
+        assert abs(cap - bound) < 2e-12, (d_s, budget, cap, bound)
 
 
 # ---------------------------------------------------------- rate-distortion
@@ -400,9 +459,20 @@ def test_uncertified_answers_warn(monkeypatch):
     monkeypatch.setattr(discrete, "BA_POLISH_AFTER", 2)
     monkeypatch.setattr(discrete, "BA_MAX_ITER", 3)
     monkeypatch.setattr(discrete, "_NEWTON_STEPS", 0)
-    model = binary_sensing_model(0.9, 0.6, cost=(1.0, 0.0))
-    with pytest.warns(ConvergenceWarning, match="mu_b=.*stopped at 3 iterations"):
-        constrained_capacity(model, d_s=1.0, budget=0.2)
+    # the three-input model of test_capacity_where_the_optimal_input_law_jumps:
+    # its optimum at this budget is not the start of the constrained Newton solve
+    model = FiniteCasModel(
+        state_prior=[0.5, 0.5],
+        sensing_law=np.stack([bsc(0.1)] * 3),
+        comm_law=[[0.479, 0.521], [0.836, 0.164], [0.604, 0.396]],
+        distortion=HAMMING,
+        cost=[0.493, 0.677, 0.061],
+    )
+    with pytest.warns(ConvergenceWarning) as record:
+        constrained_capacity(model, d_s=1.0, budget=0.35)
+    messages = [str(w.message) for w in record]
+    assert any("Blahut-Arimoto stopped at 3 iterations" in m for m in messages)
+    assert any("budget=0.35: Newton solve stopped uncertified" in m for m in messages)
     src = np.array([0.3, 0.7])
     with pytest.warns(ConvergenceWarning) as record:
         rate_distortion_discrete(src, HAMMING, 0.1)
