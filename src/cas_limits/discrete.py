@@ -21,7 +21,7 @@ from .errors import (
     UnreachableDistortion,
     ZeroProbabilityObservation,
 )
-from .kernels import ba_capacity, ba_rate_distortion
+from .kernels import ba_capacity, ba_rate_distortion, rd_channel
 from .types import TradeoffPoint
 
 SIMPLEX_TOL = 1e-12
@@ -443,8 +443,7 @@ def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoi
     """Certified Blahut-Arimoto point of the R(D) curve at slope -beta."""
     active = source > 0.0
     pa = source[active]
-    d = distortion[active]
-    a = np.exp(-beta * d)
+    a = np.exp(-beta * distortion[active])
 
     def oracle(q):
         c = a @ q + _LOG_FLOOR
@@ -458,16 +457,7 @@ def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoi
 
     def polish(point):
         q, gap = _simplex_newton(source @ point[0], oracle, RD_BA_TOL)
-        # the channel induced by the output law q, as the kernel builds it
-        c = a @ q
-        cond_a = q[None, :] * a / (c[:, None] + _LOG_FLOOR)
-        dist = float(np.einsum("i,ij,ij->", pa, cond_a, d))
-        rate = max(0.0, float(-beta * dist - pa @ np.log(c + _LOG_FLOOR)))
-        cond = np.zeros_like(distortion)
-        cond[active] = cond_a
-        idle = np.flatnonzero(~active)
-        cond[idle, distortion[idle].argmin(axis=1)] = 1.0
-        return (cond, rate, dist), gap
+        return rd_channel(source, distortion, beta, a, q), gap
 
     cond, rate, dist = _certified_ba(
         kernel, polish, RD_BA_TOL, f"rate-distortion at beta={beta:.12g}"
@@ -589,8 +579,7 @@ def rate_distortion_inverse(
     rate and the lower bound from their certified tangents agree to
     RD_TOL; the achievable one is returned.
     """
-    source = np.asarray(source, dtype=np.float64)
-    distortion = np.asarray(distortion, dtype=np.float64)
+    source, distortion = _rd_inputs(source, distortion)
     _, d_zero = _zero_rate_channel(source, distortion)
     if rate <= 0.0:
         return d_zero, 0.0
@@ -617,6 +606,15 @@ def rate_distortion_inverse(
     return max(d_min, float(achievable(lo, hi))), rate
 
 
+def _comm_distortion(model: FiniteCasModel, comm_distortion) -> np.ndarray:
+    """``comm_distortion``, defaulting to the model's distortion matrix when that is square."""
+    if comm_distortion is not None:
+        return comm_distortion
+    if model.distortion.shape[0] != model.distortion.shape[1]:
+        raise ValueError("model distortion is not square; pass comm_distortion explicitly")
+    return model.distortion
+
+
 def theorem1_feasible(
     model: FiniteCasModel,
     d_s: float,
@@ -631,12 +629,7 @@ def theorem1_feasible(
     needed at d_c. ``comm_distortion`` defaults to the model's distortion
     matrix (the estimate alphabet doubles as the reconstruction alphabet).
     """
-    if comm_distortion is None:
-        comm_distortion = model.distortion
-        if comm_distortion.shape[0] != comm_distortion.shape[1]:
-            raise ValueError(
-                "model distortion is not square; pass comm_distortion explicitly"
-            )
+    comm_distortion = _comm_distortion(model, comm_distortion)
     capacity, px = constrained_capacity(model, d_s, budget)
     source = induced_estimate_marginal(model, px.probs)
     rate, _ = rate_distortion_discrete(source, comm_distortion, d_c)
@@ -657,12 +650,7 @@ def min_total_distortion(
     rate-distortion evaluated at the constrained capacity. Deterministic
     for a fixed grid.
     """
-    if comm_distortion is None:
-        comm_distortion = model.distortion
-        if comm_distortion.shape[0] != comm_distortion.shape[1]:
-            raise ValueError(
-                "model distortion is not square; pass comm_distortion explicitly"
-            )
+    comm_distortion = _comm_distortion(model, comm_distortion)
     e = estimate_costs(model)
     lo, hi = float(e.min()), float(e.max())
     if budget < model.cost.min() - SLACK_TOL:

@@ -23,7 +23,6 @@ from .errors import SingularPrior
 HERM_TOL = 1e-10
 EIG_FLOOR = -1e-12
 RANK_RTOL = 1e-12       # eigenvalues below this fraction of the max are zero modes
-RWF_RATE_TOL = 1e-10
 
 
 def _as_complex(a) -> np.ndarray:
@@ -153,6 +152,13 @@ def _gram_array(q) -> np.ndarray:
     return q.q if isinstance(q, GramMatrix) else _as_complex(q)
 
 
+def _error_covariance(model: TrmModel, q) -> np.ndarray:
+    """Per-block MMSE error covariance Sigma (scale Q Sigma + I)^-1, scale = T / sigma_s^2."""
+    scale = model.t / model.noise_s
+    a = scale * _gram_array(q) @ model.sigma_s + np.eye(model.n)
+    return np.linalg.solve(a.T, model.sigma_s.T).T
+
+
 def sensing_mse(model: TrmModel, q) -> float:
     """MSE of the MMSE estimate of the vectorized TRM for Gram matrix q.
 
@@ -160,11 +166,7 @@ def sensing_mse(model: TrmModel, q) -> float:
     scale = T / sigma_s^2, valid for rank-deficient priors as well; agrees
     with the direct prior-inverse form whenever that one is defined.
     """
-    qa = _gram_array(q)
-    scale = model.t / model.noise_s
-    n = model.n
-    inner = np.linalg.solve((scale * qa @ model.sigma_s + np.eye(n)).T, model.sigma_s.T).T
-    return float(model.m_s * np.real(np.trace(inner)))
+    return float(model.m_s * np.real(np.trace(_error_covariance(model, q))))
 
 
 def sensing_mse_direct(model: TrmModel, q) -> float:
@@ -203,11 +205,7 @@ def _block_covariance_from_waveform(model: TrmModel, x: np.ndarray) -> np.ndarra
 
 def _block_covariance_from_gram(model: TrmModel, q) -> np.ndarray:
     """Per-block estimate covariance Sigma - (scale Q + Sigma^-1)^-1 from Q."""
-    qa = _gram_array(q)
-    scale = model.t / model.noise_s
-    n = model.n
-    inner = np.linalg.solve((scale * qa @ model.sigma_s + np.eye(n)).T, model.sigma_s.T).T
-    block = model.sigma_s - inner
+    block = model.sigma_s - _error_covariance(model, q)
     return 0.5 * (block + block.conj().T)
 
 
@@ -231,12 +229,25 @@ def gram_spectrum(model: TrmModel, q) -> Spectrum:
     return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
 
 
+def water_level(floors: np.ndarray, total: float) -> float:
+    """The level L with sum_i max(L - floors_i, 0) = total, for total >= 0.
+
+    With the floors sorted, L is (total + sum of the k lowest floors) / k for
+    the largest k whose level is not below the k-th floor.
+    """
+    floors = np.sort(floors)
+    levels = (total + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    return float(levels[np.flatnonzero(levels >= floors)[-1]])
+
+
 def reverse_waterfill(spectrum, rate_budget: float) -> RwfResult:
     """Distortion-minimizing rate allocation over Gaussian source modes.
 
-    Finds the water level xi such that sum_i log(lambda_i / min(lambda_i, xi))
-    equals the rate budget, by bisection to RWF_RATE_TOL on the rate. Modes
-    below RANK_RTOL of the largest eigenvalue carry no rate and no distortion.
+    The water level xi makes sum_i log(lambda_i / min(lambda_i, xi)) equal
+    the rate budget: in the log domain this is water-filling over the floors
+    -log lambda_i, so xi = exp(-water_level(-log lambda, rate_budget)).
+    Modes below RANK_RTOL of the largest eigenvalue carry no rate and no
+    distortion.
     """
     if isinstance(spectrum, Spectrum):
         lam = spectrum.eigenvalues
@@ -246,36 +257,16 @@ def reverse_waterfill(spectrum, rate_budget: float) -> RwfResult:
         raise ValueError("rate_budget must be nonnegative")
     if lam.size == 0 or lam.max(initial=0.0) <= 0.0:
         return RwfResult(xi=0.0, d_c=0.0, allocations=np.zeros(lam.size), rate=0.0)
-    lam_max = float(lam.max())
-    live = lam > RANK_RTOL * lam_max
-    lam_live = lam[live]
-
-    def rate_at(xi: float) -> float:
-        return float(np.sum(np.maximum(0.0, np.log(lam_live / xi))))
-
-    if rate_budget == 0.0:
-        xi = lam_max
-    else:
-        lo = lam_max * np.exp(-rate_budget)   # rate(lo) >= budget
-        hi = lam_max
-        xi = hi
-        for _ in range(200):
-            xi = 0.5 * (lo + hi)
-            r = rate_at(xi)
-            if abs(r - rate_budget) < RWF_RATE_TOL:
-                break
-            if r > rate_budget:
-                lo = xi
-            else:
-                hi = xi
-            if hi - lo < 1e-18 * lam_max:
-                break
+    live = lam > RANK_RTOL * lam.max()
+    floors = -np.log(lam[live])
+    level = water_level(floors, rate_budget)
+    xi = float(np.exp(-level))
     allocations = np.where(live, np.minimum(lam, xi), 0.0)
     return RwfResult(
-        xi=float(xi),
+        xi=xi,
         d_c=float(allocations.sum()),
         allocations=allocations,
-        rate=rate_at(xi),
+        rate=float(np.maximum(level - floors, 0.0).sum()),
     )
 
 

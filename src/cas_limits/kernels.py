@@ -45,7 +45,7 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     d = np.ascontiguousarray(d, dtype=np.float64)
-    m, n = d.shape
+    n = d.shape[1]
     active = p > 0.0
     pa = p[active]
     a = np.exp(-beta * d[active])
@@ -58,15 +58,26 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
         q /= q.sum()
         if np.log(max(g.max(), _LOG_FLOOR)) < tol:
             break
+    return (*rd_channel(p, d, beta, a, q), it)
+
+
+def rd_channel(p, d, beta, a, q):
+    """Test channel that the output law q induces at slope parameter beta.
+
+    ``a`` is exp(-beta * d) on the rows where p > 0. Zero-mass source rows
+    are point masses on their cheapest column.
+
+    Returns (cond, rate, dist) with cond[i, j] = P(j | i).
+    """
+    active = p > 0.0
+    pa = p[active]
     c = a @ q
     cond_a = q[None, :] * a / (c[:, None] + _LOG_FLOOR)
     dist = float(np.einsum("i,ij,ij->", pa, cond_a, d[active]))
     # log(cond/q) = -beta*d - log(c), so I = -beta*dist - sum_i p_i log c_i
-    rate = float(-beta * dist - pa @ np.log(c + _LOG_FLOOR))
-    rate = max(rate, 0.0)
-    cond = np.zeros((m, n))
+    rate = max(0.0, float(-beta * dist - pa @ np.log(c + _LOG_FLOOR)))
+    cond = np.zeros(d.shape)
     cond[active] = cond_a
-    if not active.all():
-        idle = np.flatnonzero(~active)
-        cond[idle, d[idle].argmin(axis=1)] = 1.0
-    return cond, rate, dist, it
+    idle = np.flatnonzero(~active)
+    cond[idle, d[idle].argmin(axis=1)] = 1.0
+    return cond, rate, dist

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    GramMatrix,
+    RANK_RTOL,
     TrmModel,
     mmse_filter,
     reverse_waterfill,
@@ -103,7 +103,7 @@ def _run_chain(
         lam = np.maximum(np.real(lam), 0.0)
         rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
         # per-mode allocation depends only on the eigenvalue
-        thresh = 1e-12 * max(lam.max(initial=0.0), 1e-300)
+        thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
         alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
         gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
         wvar = alloc * gains

@@ -22,6 +22,7 @@ from .gaussian import (
     gram_spectrum,
     reverse_waterfill,
     sensing_mse,
+    water_level,
 )
 from .types import TradeoffPoint
 
@@ -73,28 +74,39 @@ class SweepCurve:
     errors: dict[str, list[str | None]]
 
 
-def evaluate_gram(model: TrmModel, q) -> tuple[float, TradeoffPoint]:
-    """Total distortion and trade-off record for a feasible Gram matrix."""
-    qa = q.q if isinstance(q, GramMatrix) else np.asarray(q, dtype=np.complex128)
-    d_s = sensing_mse(model, qa)
-    mi = channel_mi(model, qa)
-    rwf = reverse_waterfill(gram_spectrum(model, qa), mi)
-    point = TradeoffPoint(
+def _tradeoff_point(
+    model: TrmModel, q_s: np.ndarray, q_c: np.ndarray | None = None
+) -> TradeoffPoint:
+    """Trade-off point of a sensing Gram ``q_s`` and a communication Gram ``q_c``.
+
+    D_s is the sensing MSE of q_s, and D_c the reverse water-filling of the
+    estimate spectrum of q_s at the mutual information of q_c. Without q_c
+    one Gram does both jobs, as in the ISAC design. The budget is the trace
+    of the Grams in use.
+    """
+    d_s = sensing_mse(model, q_s)
+    mi = channel_mi(model, q_s if q_c is None else q_c)
+    rwf = reverse_waterfill(gram_spectrum(model, q_s), mi)
+    trace = np.trace(q_s) if q_c is None else np.trace(q_s) + np.trace(q_c)
+    return TradeoffPoint(
         d_s=d_s,
         d_c=rwf.d_c,
         d_total=d_s + rwf.d_c,
         rate=rwf.rate,
         capacity=mi,
-        budget=float(np.real(np.trace(qa))),
+        budget=float(np.real(trace)),
     )
+
+
+def evaluate_gram(model: TrmModel, q) -> tuple[float, TradeoffPoint]:
+    """Total distortion and trade-off record for a feasible Gram matrix."""
+    qa = q.q if isinstance(q, GramMatrix) else np.asarray(q, dtype=np.complex128)
+    point = _tradeoff_point(model, qa)
     return point.d_total, point
 
 
 def _objective(model: TrmModel, qa: np.ndarray) -> float:
-    d_s = sensing_mse(model, qa)
-    mi = channel_mi(model, qa)
-    d_c = reverse_waterfill(gram_spectrum(model, qa), mi).d_c
-    val = d_s + d_c
+    val = _tradeoff_point(model, qa).d_total
     if not np.isfinite(val):
         raise NonFiniteObjective("objective evaluated to a non-finite value")
     return val
@@ -219,9 +231,7 @@ def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
     """Water-filling Gram with trace ``power`` in the eigenbasis of ``a``.
 
     Mode i of the Hermitian PSD matrix ``a`` gets max(level - 1/(scale
-    lambda_i), 0), null modes get nothing. With the finite floors sorted,
-    the level is (power + sum of the k lowest floors) / k for the largest k
-    whose level is not below the k-th floor.
+    lambda_i), 0), null modes get nothing; ``water_level`` sets the level.
     """
     lam, u = np.linalg.eigh(a)
     with np.errstate(divide="ignore", over="ignore"):
@@ -230,9 +240,7 @@ def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
     n = lam.size
     if power <= 0 or not live.any():
         return np.zeros((n, n), dtype=np.complex128)
-    floors = np.sort(floor[live])
-    levels = (power + np.cumsum(floors)) / np.arange(1, floors.size + 1)
-    level = levels[np.flatnonzero(levels >= floors)[-1]]
+    level = water_level(floor[live], power)
     p = np.where(live, np.maximum(level - floor, 0.0), 0.0)
     return (u * p) @ u.conj().T
 
@@ -248,17 +256,7 @@ def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndar
     budget = model.trace_budget
     q_s = _waterfill(model.sigma_s, model.t / model.noise_s, rho * budget)
     q_c = _waterfill(model.h_c.conj().T @ model.h_c, model.t / model.noise_c, (1.0 - rho) * budget)
-    d_s = sensing_mse(model, q_s)
-    rate = channel_mi(model, q_c)
-    rwf = reverse_waterfill(gram_spectrum(model, q_s), rate)
-    point = TradeoffPoint(
-        d_s=d_s,
-        d_c=rwf.d_c,
-        d_total=d_s + rwf.d_c,
-        rate=rwf.rate,
-        capacity=rate,
-        budget=float(np.real(np.trace(q_s) + np.trace(q_c))),
-    )
+    point = _tradeoff_point(model, q_s, q_c)
     return point.d_total, point, q_s, q_c
 
 

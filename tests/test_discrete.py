@@ -383,6 +383,16 @@ def test_rate_distortion_inverse_endpoints():
     assert d_c == 0.0
 
 
+@pytest.mark.parametrize(
+    "source, distortion",
+    [([0.6, 0.5], HAMMING), ([0.5, 0.5], [[0.0, -1.0], [1.0, 0.0]])],
+    ids=["source-sums-to-1.1", "negative-distortion"],
+)
+def test_rate_distortion_inverse_rejects_bad_inputs(source, distortion):
+    with pytest.raises(ValueError):
+        rate_distortion_inverse(np.array(source), np.array(distortion), 0.2)
+
+
 def _rd_dual_lower_bound(src, dist, d_c, q):
     """Blahut's lower bound on R(d_c) from the output law q, at its best slope.
 

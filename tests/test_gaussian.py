@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cas_limits import (
     GramMatrix,
@@ -16,7 +18,7 @@ from cas_limits import (
     reverse_waterfill,
     sensing_mse,
 )
-from cas_limits.gaussian import sensing_mse_direct, waveform_from_gram
+from cas_limits.gaussian import RANK_RTOL, sensing_mse_direct, water_level, waveform_from_gram
 from cas_limits.modelio import load_trm_model, save_trm_model
 
 from helpers import random_unitary, scalar_trm_model
@@ -190,6 +192,33 @@ def test_rate_round_trip(rng):
         rate = float(np.sum(np.log(sorted_lam[live] / res.allocations[live])))
         assert rate == pytest.approx(budget, abs=1e-8)
         assert np.all(res.allocations <= sorted_lam + 1e-12)
+
+
+def test_reverse_waterfill_spends_its_budget_exactly():
+    rng = np.random.default_rng(77)
+    for k in range(40):
+        lam = np.sort(rng.uniform(0.01, 10.0, int(rng.integers(2, 9))))[::-1]
+        if k % 4 == 0:
+            lam[-1] = 1e-14 * lam[0]    # a zero mode: below RANK_RTOL of the largest
+        budget = float(rng.uniform(0.0, 8.0))
+        res = reverse_waterfill(lam, budget)
+        live = lam > RANK_RTOL * lam[0]
+        spent = float(np.sum(np.log(lam[live] / res.allocations[live])))
+        assert abs(spent - budget) <= 1e-12 * max(1.0, budget)
+        assert abs(res.rate - budget) <= 1e-12 * max(1.0, budget)
+        assert np.all(res.allocations[~live] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    floors=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
+    total=st.floats(0.0, 100.0),
+)
+def test_water_level_meets_its_defining_equation(floors, total):
+    floors = np.array(floors)
+    level = water_level(floors, total)
+    filled = float(np.maximum(level - floors, 0.0).sum())
+    assert abs(filled - total) <= 1e-12 * max(1.0, total, float(np.abs(floors).max()))
 
 
 def test_negative_rate_budget_rejected():

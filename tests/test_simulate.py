@@ -121,7 +121,7 @@ def test_trial_dump_bytes_are_pinned(tmp_path):
     path = tmp_path / "trials.csv"
     simulate_end_to_end(model, x, 1.0, 9_000, seed=9, n_workers=2, dump_path=path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "70be98230b35c56c81f50f717d186c49f898e1ee23c5b100b1bc2422388512a1"
+        "e16c10a05169a1f41c3eb66da3cc233982ac48a9fd486d72eadf28400ae2bc8e"
     )
     simulate_sensing(model, x, 9_000, seed=9, n_workers=2, dump_path=path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
