@@ -204,13 +204,14 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "trace_used": res.trace_used,
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop": res.stop,
         "q_star": _complex_payload(res.q_star.q),
     }
     out = cfg.out_path(cfg.data.get("output", "isac_optimize.json"))
     _atomic_write_file(lambda p: _write_json(payload, p), out)
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
-        f"(converged={res.converged}, iterations={res.iterations})"
+        f"(converged={res.converged}, stop={res.stop}, iterations={res.iterations})"
     )
     return [out]
 

@@ -2,8 +2,10 @@
 
 The ISAC solver runs projected gradient descent on the Hermitian Gram matrix
 with the communication distortion treated as the reverse-water-filling value
-function at the channel mutual information. The baseline splits the power
-budget between a sensing-optimal and a communication-optimal Gram matrix.
+function at the channel mutual information; its gradient is in closed form.
+The baseline splits the power budget between a sensing-optimal and a
+communication-optimal Gram matrix, and scores each split on the spectra of
+the prior and of the channel Gram.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import NonFiniteObjective
 from .gaussian import (
     GramMatrix,
     TrmModel,
+    _error_covariance,
     channel_mi,
     gram_spectrum,
     reverse_waterfill,
@@ -26,11 +29,13 @@ from .gaussian import (
 )
 from .types import TradeoffPoint
 
-GRAD_STEP = 1e-5        # central-difference step, relative to the power scale
 FTOL = 1e-8             # stop when the objective drops less than this over WINDOW
 WINDOW = 5
 MAX_ITER = 2000
 ARMIJO_C = 1e-4
+# why optimize_isac stopped; the first three count as converged
+STOP_REASONS = ("gradient", "ftol", "no_move", "line_search", "max_iter")
+CONVERGED_STOPS = STOP_REASONS[:3]
 
 CSV_COLUMNS = [
     "snr_db",
@@ -51,6 +56,8 @@ class OptResult:
 
     ``q_star`` is a GramMatrix for the ISAC scheme and a (sensing, comm)
     pair for the separated-waveform scheme; ``rho`` is the SW power split.
+    ``stop`` says why the ISAC descent ended (see ``STOP_REASONS``); it is
+    None for the SW grid scan.
     """
 
     q_star: GramMatrix | tuple[GramMatrix, GramMatrix]
@@ -59,6 +66,7 @@ class OptResult:
     iterations: int
     converged: bool
     rho: float | None = None
+    stop: str | None = None
 
 
 @dataclass
@@ -112,24 +120,6 @@ def _objective(model: TrmModel, qa: np.ndarray) -> float:
     return val
 
 
-def _param_to_mat(v: np.ndarray, n: int) -> np.ndarray:
-    """Real parameter vector (length n^2) -> Hermitian matrix."""
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[np.diag_indices(n)] = v[:n]
-    iu = np.triu_indices(n, k=1)
-    m = iu[0].size
-    off = v[n : n + m] + 1j * v[n + m :]
-    q[iu] = off
-    q[(iu[1], iu[0])] = off.conj()
-    return q
-
-
-def _mat_to_param(q: np.ndarray) -> np.ndarray:
-    n = q.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([np.real(np.diag(q)), np.real(q[iu]), np.imag(q[iu])])
-
-
 def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
     """Map an iterate back into {Q PSD, Tr Q <= budget}.
 
@@ -148,16 +138,33 @@ def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _fd_gradient(model: TrmModel, v: np.ndarray, n: int, h: float) -> np.ndarray:
-    g = np.zeros_like(v)
-    for k in range(v.size):
-        vp = v.copy()
-        vp[k] += h
-        fp = _objective(model, _param_to_mat(vp, n))
-        vp[k] -= 2 * h
-        fm = _objective(model, _param_to_mat(vp, n))
-        g[k] = (fp - fm) / (2 * h)
-    return g
+def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
+    """Hermitian gradient G of D_s + D_c at Q: the objective moves by Re tr(G dQ).
+
+    With s = T / sigma_s^2, c = T / sigma_c^2 and E = Sigma (s Q Sigma + I)^-1,
+    the sensing MSE moves by -M_s s tr(E^2 dQ), and each eigenvalue mu_i of
+    the block estimate covariance Sigma - E by s u_i^H E dQ E u_i. By the
+    envelope theorem the reverse-water-filling value at level xi moves by
+    M_s sum_i w_i dmu_i - xi dR, with w_i = 1 for mu_i <= xi (the modes below
+    RANK_RTOL included, so that the descent can grow them) and xi / mu_i
+    above. The log-det rate moves by c tr(H^H (c H Q H^H + I)^-1 H dQ)
+    (Palomar & Verdu, IEEE T-IT 52(1), 2006) while it is positive.
+    """
+    s = model.t / model.noise_s
+    e = _error_covariance(model, qa)
+    e = 0.5 * (e + e.conj().T)
+    mu, u = np.linalg.eigh(model.sigma_s - e)
+    mi = channel_mi(model, qa)
+    xi = reverse_waterfill(np.repeat(mu, model.m_s), mi).xi
+    w = np.divide(xi, mu, out=np.ones_like(mu), where=mu > xi)
+    eu = e @ u
+    g = model.m_s * s * ((eu * w) @ eu.conj().T - e @ e)
+    if mi > 0.0:
+        c = model.t / model.noise_c
+        h = model.h_c
+        b = c * h @ qa @ h.conj().T + np.eye(model.m_c)
+        g -= xi * c * h.conj().T @ np.linalg.solve(b, h)
+    return 0.5 * (g + g.conj().T)
 
 
 def optimize_isac(
@@ -168,10 +175,14 @@ def optimize_isac(
 ) -> OptResult:
     """Minimize D_s(Q) + D_c(Q) over {Q PSD, Tr Q <= T P_T}.
 
-    Projected gradient descent with central finite-difference gradients on
-    the Hermitian parametrization and Armijo backtracking. The problem is
-    non-convex, so the result is a local optimum; small-dimension grid
-    oracles anchor correctness in the tests.
+    Projected gradient descent with the closed-form gradient of ``_gradient``
+    and Armijo backtracking. The step Q - step (2G - Diag G) is the gradient
+    step of the real parameter vector (diagonal, real and imaginary upper
+    triangle) of Q. The problem is non-convex, so the result is a local
+    optimum; small-dimension grid oracles anchor correctness in the tests.
+    ``stop`` records why the descent ended; the run counts as converged
+    unless the line search failed through all its halvings or the
+    iteration cap was hit.
     """
     budget = model.trace_budget
     n = model.n
@@ -181,41 +192,40 @@ def optimize_isac(
         qa = init.q if isinstance(init, GramMatrix) else np.asarray(init, dtype=np.complex128)
     qa = _project(qa, budget)
     scale = max(budget / n, 1e-12)
-    h = GRAD_STEP * scale
 
     f = _objective(model, qa)
     history = [f]
     step = scale
-    converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        v = _mat_to_param(qa)
-        g = _fd_gradient(model, v, n, h)
-        gnorm2 = float(g @ g)
-        if gnorm2 < 1e-30:
-            converged = True
+        g = _gradient(model, qa)
+        direction = 2.0 * g - np.diag(np.diag(g))
+        if np.real(np.vdot(g, direction)) < 1e-30:
+            stop = "gradient"
             break
         step = min(step * 2.0, 1e6 * scale)
-        accepted = False
+        stop = "line_search"
         for _ in range(60):
-            qa_new = _project(_param_to_mat(v - step * g, n), budget)
+            qa_new = _project(qa - step * direction, budget)
             move2 = float(np.sum(np.abs(qa_new - qa) ** 2))
             if move2 < 1e-30 * max(1.0, scale**2):
+                stop = "no_move"
                 break
             f_new = _objective(model, qa_new)
             # gradient-mapping Armijo: decrease proportional to actual movement
             if f_new <= f - (ARMIJO_C / step) * move2:
-                accepted = True
+                stop = None
                 break
             step *= 0.5
-        if not accepted:
-            converged = True
+        if stop is not None:
             break
         qa, f = qa_new, f_new
         history.append(f)
         if len(history) > WINDOW and history[-1 - WINDOW] - f < ftol:
-            converged = True
+            stop = "ftol"
             break
+    else:
+        stop = "max_iter"
 
     _, point = evaluate_gram(model, qa)
     return OptResult(
@@ -223,26 +233,30 @@ def optimize_isac(
         point=point,
         trace_used=point.budget,
         iterations=it,
-        converged=converged,
+        converged=stop in CONVERGED_STOPS,
+        stop=stop,
     )
 
 
-def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
-    """Water-filling Gram with trace ``power`` in the eigenbasis of ``a``.
+def _waterfill_powers(lam: np.ndarray, scale: float, power: float) -> np.ndarray:
+    """Water-filling powers with sum ``power`` on the PSD spectrum ``lam``.
 
-    Mode i of the Hermitian PSD matrix ``a`` gets max(level - 1/(scale
-    lambda_i), 0), null modes get nothing; ``water_level`` sets the level.
+    Mode i gets max(level - 1/(scale lambda_i), 0), null modes get nothing;
+    ``water_level`` sets the level.
     """
-    lam, u = np.linalg.eigh(a)
     with np.errstate(divide="ignore", over="ignore"):
-        floor = 1.0 / (scale * np.maximum(np.real(lam), 0.0))
+        floor = 1.0 / (scale * np.maximum(lam, 0.0))
     live = np.isfinite(floor)
-    n = lam.size
     if power <= 0 or not live.any():
-        return np.zeros((n, n), dtype=np.complex128)
+        return np.zeros(lam.size)
     level = water_level(floor[live], power)
-    p = np.where(live, np.maximum(level - floor, 0.0), 0.0)
-    return (u * p) @ u.conj().T
+    return np.where(live, np.maximum(level - floor, 0.0), 0.0)
+
+
+def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
+    """Water-filling Gram with trace ``power`` in the eigenbasis of the Hermitian PSD ``a``."""
+    lam, u = np.linalg.eigh(a)
+    return (u * _waterfill_powers(lam, scale, power)) @ u.conj().T
 
 
 def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndarray, np.ndarray]:
@@ -260,20 +274,41 @@ def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndar
     return point.d_total, point, q_s, q_c
 
 
+def _split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
+    """Separated-waveform total distortion at each power split, in closed form.
+
+    Both water-filling Grams of ``sw_point`` are diagonal in the eigenbases
+    of Sigma_s (eigenvalues sigma_i) and H^H H (eta_i), so with powers p_s
+    and p_c on those modes: d_s = M_s sum_i sigma_i / (s p_si sigma_i + 1),
+    the block estimate spectrum is sigma_i - sigma_i / (s p_si sigma_i + 1),
+    and the mutual information is sum_i log(1 + c p_ci eta_i).
+    """
+    budget = model.trace_budget
+    s, c = model.t / model.noise_s, model.t / model.noise_c
+    sigma = np.linalg.eigvalsh(model.sigma_s)
+    eta = np.linalg.eigvalsh(model.h_c.conj().T @ model.h_c)
+    scores = np.empty(len(rhos))
+    for k, rho in enumerate(rhos):
+        p_s = _waterfill_powers(sigma, s, rho * budget)
+        p_c = _waterfill_powers(eta, c, (1.0 - rho) * budget)
+        err = sigma / (s * p_s * sigma + 1.0)
+        mi = float(np.log1p(c * p_c * eta).sum())
+        rwf = reverse_waterfill(np.repeat(sigma - err, model.m_s), mi)
+        scores[k] = model.m_s * err.sum() + rwf.d_c
+    return scores
+
+
 def optimize_sw(model: TrmModel, split_grid: int = 101) -> OptResult:
     """Best separated-waveform design over a power-split grid.
 
-    Evaluates split_grid values of rho in [0, 1] and returns the split with
-    the smallest total distortion.
+    Scores split_grid values of rho in [0, 1] with ``_split_scores`` and
+    returns ``sw_point`` at the split with the smallest total distortion.
     """
     if split_grid < 2:
         raise ValueError("split_grid must be at least 2")
-    best = None
-    for rho in np.linspace(0.0, 1.0, split_grid):
-        total, point, q_s, q_c = sw_point(model, float(rho))
-        if best is None or total < best[0]:
-            best = (total, point, q_s, q_c, float(rho))
-    _, point, q_s, q_c, rho = best
+    rhos = np.linspace(0.0, 1.0, split_grid)
+    rho = float(rhos[np.argmin(_split_scores(model, rhos))])
+    _, point, q_s, q_c = sw_point(model, rho)
     budget = model.trace_budget
     return OptResult(
         q_star=(GramMatrix(q_s, trace_limit=budget), GramMatrix(q_c, trace_limit=budget)),

@@ -3,6 +3,7 @@
 import numpy as np
 
 from cas_limits import FiniteCasModel, TrmModel
+from cas_limits.waveform import _objective
 
 
 def random_rows(rng, shape):
@@ -116,3 +117,43 @@ def crossover_trm_model(seed=3):
     return TrmModel(
         sigma_s=sigma, h_c=h, noise_s=1.0, noise_c=1.0, t=16, m_s=4, power=1.0
     )
+
+
+def param_to_mat(v, n):
+    """Real parameter vector (diagonal, real and imaginary upper triangle) -> Hermitian matrix."""
+    q = np.zeros((n, n), dtype=np.complex128)
+    q[np.diag_indices(n)] = v[:n]
+    iu = np.triu_indices(n, k=1)
+    m = iu[0].size
+    off = v[n : n + m] + 1j * v[n + m :]
+    q[iu] = off
+    q[(iu[1], iu[0])] = off.conj()
+    return q
+
+
+def mat_to_param(q):
+    n = q.shape[0]
+    iu = np.triu_indices(n, k=1)
+    return np.concatenate([np.real(np.diag(q)), np.real(q[iu]), np.imag(q[iu])])
+
+
+def grad_to_param(g):
+    """Gradient of the parameter vector for a Hermitian gradient g, df = Re tr(g dQ)."""
+    n = g.shape[0]
+    iu = np.triu_indices(n, k=1)
+    return np.concatenate([np.real(np.diag(g)), 2.0 * np.real(g[iu]), 2.0 * np.imag(g[iu])])
+
+
+def fd_gradient(model, q, h):
+    """Central-difference gradient of the ISAC objective on the parameter vector of q."""
+    n = q.shape[0]
+    v = mat_to_param(q)
+    g = np.zeros_like(v)
+    for k in range(v.size):
+        vp = v.copy()
+        vp[k] += h
+        fp = _objective(model, param_to_mat(vp, n))
+        vp[k] -= 2 * h
+        fm = _objective(model, param_to_mat(vp, n))
+        g[k] = (fp - fm) / (2 * h)
+    return g

@@ -7,6 +7,7 @@ import pytest
 
 from cas_limits.cli import MODES, main
 from cas_limits.modelio import save_finite_cas_model, save_trm_model
+from cas_limits.waveform import CONVERGED_STOPS, STOP_REASONS
 from cas_limits import random_trm_model
 
 from helpers import binary_sensing_model
@@ -102,6 +103,8 @@ def test_trm_optimize_mode_with_generator(tmp_path):
     payload = json.loads((tmp_path / "isac_optimize.json").read_text())
     assert payload["trace_used"] <= 4.0 + 1e-9
     assert len(payload["q_star"]) == 2
+    assert payload["stop"] in STOP_REASONS
+    assert payload["converged"] == (payload["stop"] in CONVERGED_STOPS)
 
 
 def test_trm_sw_mode_with_model_file(tmp_path):

@@ -1,5 +1,8 @@
 """ISAC Gram optimizer, separated-waveform baseline, SNR sweep."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,11 @@ from cas_limits import (
 )
 from cas_limits.gaussian import gram_spectrum
 from cas_limits.waveform import (
+    CONVERGED_STOPS,
     CSV_COLUMNS,
+    _gradient,
     _objective,
+    _split_scores,
     _waterfill,
     curve_rows,
     evaluate_gram,
@@ -27,7 +33,13 @@ from cas_limits.waveform import (
     write_curve_json,
 )
 
-from helpers import commuting_trm_model, scalar_trm_model
+from helpers import (
+    commuting_trm_model,
+    crossover_trm_model,
+    fd_gradient,
+    grad_to_param,
+    scalar_trm_model,
+)
 
 
 def golden_min(f, a, b, iters=200):
@@ -91,6 +103,77 @@ def test_result_is_feasible_and_no_worse_than_the_init(rng):
     assert res.trace_used <= model.trace_budget + 1e-9
     assert res.point.d_total <= f_init + 1e-12
     assert res.point.d_total == pytest.approx(res.point.d_s + res.point.d_c, abs=1e-9)
+
+
+def _random_psd(rng, n, rank, trace):
+    a = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / 2
+    q = a @ a.conj().T
+    return q * (trace / np.real(np.trace(q)))
+
+
+def _random_shape(rng, n_min=1):
+    n = int(rng.integers(n_min, 6))
+    return n, int(rng.integers(1, 5)), int(rng.integers(1, 5)), float(10 ** rng.uniform(-1, 2))
+
+
+def test_gradient_matches_central_differences_on_interior_grams():
+    # at h = 1e-6 * scale the oracle's own O(h^2) truncation stays far below the tolerance
+    for seed in range(40):
+        rng = np.random.default_rng(1000 + seed)
+        n, m_s, m_c, power = _random_shape(rng)
+        model = random_trm_model(seed, n=n, m_s=m_s, m_c=m_c, t=2 * n + 2, power=power)
+        q = _random_psd(rng, n, n, 1.0) + 0.1 * np.eye(n)
+        q *= model.trace_budget * rng.uniform(0.3, 1.0) / np.real(np.trace(q))
+        expect = fd_gradient(model, q, 1e-6 * model.trace_budget / n)
+        got = grad_to_param(_gradient(model, q))
+        assert np.linalg.norm(got - expect) <= 1e-6 * np.linalg.norm(expect), seed
+
+
+def test_gradient_matches_one_sided_differences_on_rank_deficient_grams():
+    # central differences would leave the PSD cone; step along a PSD direction,
+    # which also grows the modes below RANK_RTOL that the gradient weights by 1
+    for seed in range(30):
+        rng = np.random.default_rng(2000 + seed)
+        n, m_s, m_c, power = _random_shape(rng, n_min=2)
+        model = random_trm_model(seed, n=n, m_s=m_s, m_c=m_c, t=2 * n + 2, power=power)
+        budget = model.trace_budget
+        q = _random_psd(rng, n, int(rng.integers(1, n)), budget * rng.uniform(0.3, 1.0))
+        d = _random_psd(rng, n, n, budget / n)
+        t = 1e-6
+        f0, f1, f2 = (_objective(model, q + k * t * d) for k in range(3))
+        expect = (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * t)
+        got = float(np.real(np.trace(_gradient(model, q) @ d)))
+        assert abs(got - expect) <= 1e-5 * abs(expect), seed
+
+
+def test_stop_reasons():
+    assert optimize_isac(scalar_trm_model(power=1.0, t=4)).stop in CONVERGED_STOPS
+    model = crossover_trm_model()
+    capped = optimize_isac(model, max_iter=2)
+    assert (capped.stop, capped.converged, capped.iterations) == ("max_iter", False, 2)
+    # at 0 dB the rescaling projection turns every step uphill before the
+    # gradient vanishes: the Armijo search fails through all its halvings
+    stalled = optimize_isac(replace(model, power=1.0))
+    assert (stalled.stop, stalled.converged) == ("line_search", False)
+
+
+def test_low_snr_crossover_point_descends_past_the_old_stop():
+    # criterion 7's -10 dB point; finite-difference gradients stopped after
+    # 6 iterations at 8.54948
+    model = crossover_trm_model()
+    res = optimize_isac(replace(model, power=0.1))
+    assert res.point.d_total < 8.4293
+
+
+def test_sixteen_antenna_run_is_fast_and_no_worse():
+    model = random_trm_model(5, n=16, t=32)
+    t0 = time.perf_counter()
+    res = optimize_isac(model)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0  # criterion 6's limit
+    # finite-difference gradients stopped at 24.64186 here, after about 2 s
+    assert res.point.d_total < 24.6419
+    assert res.trace_used <= model.trace_budget + 1e-9
 
 
 def test_rate_never_exceeds_the_channel_mi(rng):
@@ -161,6 +244,26 @@ def test_optimal_split_beats_the_endpoints():
     assert res.point.d_total <= sw_point(model, 0.0)[0] + 1e-12
     assert res.point.d_total <= sw_point(model, 1.0)[0] + 1e-12
     assert 0.0 <= res.rho <= 1.0
+
+
+def test_split_scores_match_sw_point():
+    for seed in range(40):
+        rng = np.random.default_rng(3000 + seed)
+        n, m_s, m_c, _ = _random_shape(rng)
+        # odd seeds draw the prior's rank (12 of the 40 priors are rank-deficient);
+        # 18 of the models have m_c < n
+        rank = int(rng.integers(1, n + 1)) if seed % 2 else n
+        model = TrmModel(
+            sigma_s=_random_psd(rng, n, rank, float(n)),
+            h_c=(rng.standard_normal((m_c, n)) + 1j * rng.standard_normal((m_c, n))) / np.sqrt(2),
+            noise_s=float(rng.uniform(0.5, 2.0)), noise_c=float(rng.uniform(0.5, 2.0)),
+            t=2 * n, m_s=m_s, power=float(10 ** rng.uniform(-1, 3)),
+        )
+        rhos = np.linspace(0.0, 1.0, 21)
+        expect = np.array([sw_point(model, float(rho))[0] for rho in rhos])
+        assert np.allclose(_split_scores(model, rhos), expect, rtol=1e-10, atol=0.0), seed
+        res = optimize_sw(model, split_grid=21)
+        assert res.point == sw_point(model, res.rho)[1]
 
 
 def test_split_grid_validation():
