@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     ZeroProbabilityObservation,
 )
 from .gaussian import GramMatrix, TrmModel, channel_mi, random_trm_model, waveform_from_gram
-from .modelio import load_finite_cas_model, load_trm_model
+from .modelio import atomic_write_file, load_finite_cas_model, load_trm_model
 
 MODES = (
     "discrete-capacity",
@@ -47,20 +46,6 @@ _SOLVER_ERRORS = (
     NonFiniteObjective,
     ZeroProbabilityObservation,
 )
-
-
-def _atomic_write_file(write_fn, path: str) -> None:
-    """Write ``path`` atomically: ``write_fn(tmp)`` fills a temp file that then replaces it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -159,7 +144,7 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
         "budget": budget,
     }
     out = cfg.out_path(cfg.data.get("output", "capacity.json"))
-    _atomic_write_file(lambda p: _write_json(payload, p), out)
+    atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"constrained capacity: {payload['capacity']:.6f} {payload['units']}")
     return [out]
 
@@ -178,7 +163,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         "test_channel": cond.tolist(),
     }
     out = cfg.out_path(cfg.data.get("output", "rate_distortion.json"))
-    _atomic_write_file(lambda p: _write_json(payload, p), out)
+    atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"rate at d_c={d_c}: {payload['rate']:.6f} {payload['units']}")
     return [out]
 
@@ -188,7 +173,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     point = discrete.min_total_distortion(model, cfg.value("budget", float), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.data.get("output", "tradeoff.json"))
-    _atomic_write_file(lambda p: _write_json(payload, p), out)
+    atomic_write_file(lambda p: _write_json(payload, p), out)
     print(
         f"min total distortion: {point.d_total:.6f} "
         f"(d_s={point.d_s:.6f}, d_c={point.d_c:.6f})"
@@ -208,7 +193,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "q_star": _complex_payload(res.q_star.q),
     }
     out = cfg.out_path(cfg.data.get("output", "isac_optimize.json"))
-    _atomic_write_file(lambda p: _write_json(payload, p), out)
+    atomic_write_file(lambda p: _write_json(payload, p), out)
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
         f"(converged={res.converged}, stop={res.stop}, iterations={res.iterations})"
@@ -228,7 +213,7 @@ def _run_trm_sw(cfg: Config) -> list[str]:
         "q_comm": _complex_payload(q_c.q),
     }
     out = cfg.out_path(cfg.data.get("output", "sw_optimize.json"))
-    _atomic_write_file(lambda p: _write_json(payload, p), out)
+    atomic_write_file(lambda p: _write_json(payload, p), out)
     print(f"sw optimum: total D={res.point.d_total:.6f} at rho={res.rho:.4f}")
     return [out]
 
@@ -251,8 +236,8 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
     )
     out_csv = cfg.out_path(cfg.data.get("output_csv", "sweep.csv"))
     out_json = cfg.out_path(cfg.data.get("output_json", "sweep.json"))
-    _atomic_write_file(lambda p: waveform.write_curve_csv(curve, p), out_csv)
-    _atomic_write_file(lambda p: waveform.write_curve_json(curve, p), out_json)
+    atomic_write_file(lambda p: waveform.write_curve_csv(curve, p), out_csv)
+    atomic_write_file(lambda p: waveform.write_curve_json(curve, p), out_json)
     print(f"{'snr_db':>8} {'scheme':>6} {'d_total':>12} {'converged':>9}")
     for row in waveform.curve_rows(curve):
         print(
@@ -263,6 +248,17 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
 
 
 def _run_simulate(cfg: Config) -> list[str]:
+    workers = cfg.value("workers", int, 1)
+    if cfg.trials < 1:
+        raise ConfigError("trials: must be at least 1")
+    if workers < 1:
+        raise ConfigError("workers: must be at least 1")
+    end_to_end = cfg.data.get("end_to_end", True)
+    rate_budget = cfg.data.get("rate_budget", "mi")
+    if end_to_end and rate_budget != "mi":
+        rate_budget = cfg.value("rate_budget", float)
+        if not rate_budget >= 0:
+            raise ConfigError("rate_budget: must be nonnegative")
     model = cfg.trm_model()
     wf_spec = cfg.data.get("waveform", "uniform")
     if wf_spec == "uniform":
@@ -280,22 +276,18 @@ def _run_simulate(cfg: Config) -> list[str]:
 
     dump = cfg.data.get("dump_trials")
     dump_path = cfg.out_path(dump) if dump else None
-    if cfg.data.get("end_to_end", True):
-        if cfg.data.get("rate_budget", "mi") == "mi":
+    if end_to_end:
+        if rate_budget == "mi":
             rate_budget = channel_mi(model, GramMatrix(x @ x.conj().T))
-        else:
-            rate_budget = cfg.value("rate_budget", float)
         report = simulate.simulate_end_to_end(
-            model, x, rate_budget, cfg.trials, cfg.seed,
-            n_workers=cfg.value("workers", int, 1), dump_path=dump_path,
+            model, x, rate_budget, cfg.trials, cfg.seed, n_workers=workers, dump_path=dump_path,
         )
     else:
         report = simulate.simulate_sensing(
-            model, x, cfg.trials, cfg.seed,
-            n_workers=cfg.value("workers", int, 1), dump_path=dump_path,
+            model, x, cfg.trials, cfg.seed, n_workers=workers, dump_path=dump_path,
         )
     out = cfg.out_path(cfg.data.get("output", "simulation.json"))
-    _atomic_write_file(report.to_json, out)
+    atomic_write_file(report.to_json, out)
     print(
         f"simulated {cfg.trials} trials: d_s={report.d_s_emp:.6f} "
         f"(analytic {report.d_s_analytic:.6f})"

@@ -1,4 +1,4 @@
-"""JSON (de)serialization for model files.
+"""JSON (de)serialization for model files, and the atomic writer for every artifact.
 
 Discrete models store plain nested arrays; Gaussian models store complex
 matrices row-major with each entry as an [re, im] pair. Validation errors
@@ -8,6 +8,7 @@ carry the offending field path.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -17,6 +18,23 @@ from .gaussian import TrmModel
 
 _FINITE_FIELDS = ("state_prior", "sensing_law", "comm_law", "distortion", "cost")
 _TRM_FIELDS = ("sigma_s", "h_c", "noise_s", "noise_c", "t", "m_s", "power")
+
+
+def atomic_write_file(write_fn, path) -> None:
+    """Write ``path`` atomically: ``write_fn(tmp)`` fills a temp file that then replaces it.
+
+    If ``write_fn`` raises, the temp file is removed and ``path`` keeps its old contents.
+    The file gets the mode a plain ``open`` would give it (0o666 less the umask).
+    """
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _load_json(path) -> dict:

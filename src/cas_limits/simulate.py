@@ -13,9 +13,9 @@ calibration test in the suite.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import json
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +28,10 @@ from .gaussian import (
     sensing_mse,
     _block_covariance_from_waveform,
 )
+from .modelio import atomic_write_file
 
 _BATCH = 4096
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,158 @@ class SimReport:
             json.dump(self.as_dict(), fh, indent=2)
 
 
-def _draw_complex_normal(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _draw_complex_normal(rng, shape, scratch) -> np.ndarray:
+    """Unit-variance complex normals: all real parts are drawn, then all imaginary parts.
+
+    Equal bit for bit to ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    / np.sqrt(2.0)``, since NumPy divides a complex number by a real one as a
+    multiplication by its reciprocal. Both halves are drawn into ``scratch``, a
+    float buffer that the caller reuses.
+    """
+    size = math.prod(shape)
+    parts = scratch[: 2 * size].reshape(2, size)
+    rng.standard_normal(out=parts)
+    out = np.empty(shape, dtype=np.complex128)
+    flat = out.reshape(size)
+    np.multiply(parts[0], _INV_SQRT2, out=flat.real)
+    np.multiply(parts[1], _INV_SQRT2, out=flat.imag)
+    return out
+
+
+def _draw_batch(rng, nb, dims, end_to_end, scratch):
+    """The normals of one batch, in the order the trial loop has always drawn them."""
+    m_s, n, t = dims
+    g = _draw_complex_normal(rng, (nb, m_s, n), scratch)
+    noise = _draw_complex_normal(rng, (nb, m_s, t), scratch)
+    wnoise = _draw_complex_normal(rng, (nb, m_s, n), scratch) if end_to_end else None
+    return g, noise, wnoise
+
+
+def _batches(n_trials, seed, n_workers):
+    """(generator, batch size) pairs in draw order.
+
+    The trials are split into ``n_workers`` contiguous shares, each drawn from
+    its own ``SeedSequence`` substream; a share of 0 trials draws nothing.
+    """
+    base, extra = divmod(n_trials, n_workers)
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_workers)):
+        share = base + (i < extra)
+        rng = np.random.default_rng(stream)
+        for done in range(0, share, _BATCH):
+            yield rng, min(_BATCH, share - done)
+
+
+def _matmul(a, b):
+    """``a @ b`` for a stack ``a`` of matrices, as one 2-D product over the stacked rows.
+
+    NumPy runs a stacked product as one small product per matrix. With
+    OpenBLAS, one GEMM over all rows gives the same bits in a fraction of the
+    time; the suite's serial-reference test checks that.
+    """
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, float(np.sqrt(var / n))
+
+
+class _Chain:
+    """The fixed matrices of one simulation and the per-trial metrics of a batch."""
+
+    def __init__(self, model: TrmModel, x: np.ndarray, rate_budget: float | None):
+        x = np.asarray(x, dtype=np.complex128)
+        x_eff = np.sqrt(model.t) * x
+        mu, u_sigma = np.linalg.eigh(model.sigma_s)
+        sigma_root = (u_sigma * np.sqrt(np.maximum(np.real(mu), 0.0))) @ u_sigma.conj().T
+        self.dims = (model.m_s, model.n, model.t)
+        self.end_to_end = rate_budget is not None
+        self.sigma_root_t = sigma_root.T
+        self.x_eff_conj = x_eff.conj()
+        self.w_t = mmse_filter(model, x_eff).T
+        self.noise_std = np.sqrt(model.noise_s)
+        self.analytic_d_c = None
+        if self.end_to_end:
+            block = _block_covariance_from_waveform(model, x)
+            lam, u = np.linalg.eigh(block)
+            lam = np.maximum(np.real(lam), 0.0)
+            rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
+            # per-mode allocation depends only on the eigenvalue
+            thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
+            alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
+            self.gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
+            self.wnoise_std = np.sqrt(alloc * self.gains)
+            self.u_conj = u.conj()
+            self.u_t = u.T
+            self.analytic_d_c = rwf.d_c
+
+    def columns(self, g, noise, wnoise) -> list[np.ndarray]:
+        """Per-trial d_s, and for the end-to-end chain d_c, d_total and the cross term.
+
+        Scales ``noise`` and ``wnoise`` in place.
+        """
+        s = _matmul(g, self.sigma_root_t)
+        z = _matmul(s, self.x_eff_conj)
+        noise *= self.noise_std
+        z += noise
+        s_est = _matmul(z, self.w_t)
+        err_s = s - s_est
+        columns = [np.sum(np.abs(err_s) ** 2, axis=(1, 2))]
+        if self.end_to_end:
+            coeff_hat = _matmul(s_est, self.u_conj)
+            coeff_hat *= self.gains
+            wnoise *= self.wnoise_std
+            coeff_hat += wnoise
+            s_hat = _matmul(coeff_hat, self.u_t)
+            err_c = s_est - s_hat
+            err_t = s - s_hat
+            columns += [
+                np.sum(np.abs(err_c) ** 2, axis=(1, 2)),
+                np.sum(np.abs(err_t) ** 2, axis=(1, 2)),
+                np.sum(np.real(err_s.conj() * err_c), axis=(1, 2)),
+            ]
+        return columns
+
+
+def _write_rows(fh, columns) -> None:
+    """Append one CSV row per trial, each value in ``.17g`` with ``\\r\\n`` line ends.
+
+    The bytes are those of ``csv.writer`` on the same values; one format call
+    covers the whole batch.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
+
+
+def _trial_loop(chain: _Chain, n_trials, seed, n_workers, fh=None) -> dict:
+    """Accumulated sums per metric; with ``fh``, one dump row per trial as well.
+
+    One helper thread draws each batch while this thread computes and writes the
+    one before it. Only the helper touches the generators, so the draws come in
+    the serial order and the results are bit-identical to a serial loop.
+    """
+    sums = dict.fromkeys(["d_s", "d_s2", "d_c", "d_c2", "d", "d2", "x", "x2"], 0.0)
+    m_s, n, t = chain.dims
+    scratch = np.empty(2 * min(_BATCH, n_trials) * m_s * max(n, t))
+
+    def consume(batch):
+        columns = chain.columns(*batch)
+        for key, col in zip(("d_s", "d_c", "d", "x"), columns):
+            sums[key] += col.sum()
+            sums[key + "2"] += (col**2).sum()
+        if fh is not None:
+            _write_rows(fh, columns)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for rng, nb in _batches(n_trials, seed, n_workers):
+            ahead = pool.submit(_draw_batch, rng, nb, chain.dims, chain.end_to_end, scratch)
+            if pending is not None:
+                consume(pending.result())
+            pending = ahead
+        consume(pending.result())
+    return sums
 
 
 def _run_chain(
@@ -90,84 +236,32 @@ def _run_chain(
     n_workers: int,
     dump_path=None,
 ):
-    """Shared trial loop; returns accumulated sums per metric."""
-    x = np.asarray(x, dtype=np.complex128)
-    x_eff = np.sqrt(model.t) * x
-    w = mmse_filter(model, x_eff)
-    mu, u_sigma = np.linalg.eigh(model.sigma_s)
-    sigma_root = (u_sigma * np.sqrt(np.maximum(np.real(mu), 0.0))) @ u_sigma.conj().T
+    """Shared trial loop; returns accumulated sums per metric and the analytic d_c.
 
-    if rate_budget is not None:
-        block = _block_covariance_from_waveform(model, x)
-        lam, u = np.linalg.eigh(block)
-        lam = np.maximum(np.real(lam), 0.0)
-        rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
-        # per-mode allocation depends only on the eigenvalue
-        thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
-        alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
-        gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
-        wvar = alloc * gains
-        analytic_d_c = rwf.d_c
-    else:
-        analytic_d_c = None
+    The dump at ``dump_path`` is written atomically: a run that raises leaves
+    any earlier file there as it was.
+    """
+    chain = _Chain(model, x, rate_budget)
+    if dump_path is None:
+        return _trial_loop(chain, n_trials, seed, n_workers), chain.analytic_d_c
 
-    sums = {"d_s": 0.0, "d_s2": 0.0, "d_c": 0.0, "d_c2": 0.0,
-            "d": 0.0, "d2": 0.0, "x": 0.0, "x2": 0.0}
+    header = "d_s,d_c,d_total,cross\r\n" if chain.end_to_end else "d_s\r\n"
+    sums = {}
 
-    with contextlib.ExitStack() as stack:
-        writer = None
-        if dump_path is not None:
-            writer = csv.writer(stack.enter_context(open(dump_path, "w", newline="")))
-            if rate_budget is not None:
-                writer.writerow(["d_s", "d_c", "d_total", "cross"])
-            else:
-                writer.writerow(["d_s"])
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            fh.write(header)
+            sums.update(_trial_loop(chain, n_trials, seed, n_workers, fh))
 
-        # contiguous per-worker partitions, each with its own seeded substream
-        base = n_trials // n_workers
-        shares = [base + (1 if i < n_trials % n_workers else 0) for i in range(n_workers)]
-        streams = np.random.SeedSequence(seed).spawn(n_workers)
-        for share, ss in zip(shares, streams):
-            rng = np.random.default_rng(ss)
-            done = 0
-            while done < share:
-                nb = min(_BATCH, share - done)
-                g = _draw_complex_normal(rng, (nb, model.m_s, model.n))
-                s = g @ sigma_root.T
-                noise = np.sqrt(model.noise_s) * _draw_complex_normal(rng, (nb, model.m_s, model.t))
-                z = s @ x_eff.conj() + noise
-                s_est = z @ w.T
-                err_s = s - s_est
-                d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
-                sums["d_s"] += d_s_i.sum()
-                sums["d_s2"] += (d_s_i**2).sum()
-                columns = [d_s_i]
+    atomic_write_file(write, dump_path)
+    return sums, chain.analytic_d_c
 
-                if rate_budget is not None:
-                    coeff = s_est @ u.conj()
-                    wnoise = _draw_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
-                    coeff_hat = gains * coeff + wnoise
-                    s_hat = coeff_hat @ u.T
-                    err_c = s_est - s_hat
-                    err_t = s - s_hat
-                    d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
-                    d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
-                    x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
-                    sums["d_c"] += d_c_i.sum()
-                    sums["d_c2"] += (d_c_i**2).sum()
-                    sums["d"] += d_i.sum()
-                    sums["d2"] += (d_i**2).sum()
-                    sums["x"] += x_i.sum()
-                    sums["x2"] += (x_i**2).sum()
-                    columns += [d_c_i, d_i, x_i]
-                if writer is not None:
-                    writer.writerows(
-                        [format(v, ".17g") for v in row]
-                        for row in zip(*(c.tolist() for c in columns))
-                    )
-                done += nb
 
-    return sums, analytic_d_c
+def _check_counts(n_trials: int, n_workers: int) -> None:
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    if n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
 
 
 def simulate_sensing(
@@ -180,10 +274,12 @@ def simulate_sensing(
 ) -> SimReport:
     """Estimate the sensing MSE empirically for waveform x (N x T).
 
-    ``n_workers`` only sets the number of RNG substreams, which run serially.
+    ``n_workers`` only sets the number of RNG substreams (contiguous shares of
+    the trials, each seeded from ``seed``); it starts no workers. One helper
+    thread draws the normals one batch ahead of the computation, and the
+    report and dump are bit-identical to a serial run.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    _check_counts(n_trials, n_workers)
     sums, _ = _run_chain(model, x, None, n_trials, seed, n_workers, dump_path)
     d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)
     x = np.asarray(x, dtype=np.complex128)
@@ -211,11 +307,11 @@ def simulate_end_to_end(
     Per retained eigenmode the reconstruction is a scaled estimate plus
     independent Gaussian noise matched to the reverse-water-filling
     allocation; fully allocated modes reconstruct to zero. ``n_workers``
-    only sets the number of RNG substreams, which run serially.
+    only sets the number of RNG substreams, as in ``simulate_sensing``; the
+    draws run one batch ahead on one helper thread, bit-identical to serial.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if rate_budget < 0:
+    _check_counts(n_trials, n_workers)
+    if not rate_budget >= 0:
         raise ValueError("rate_budget must be nonnegative")
     sums, analytic_d_c = _run_chain(model, x, rate_budget, n_trials, seed, n_workers, dump_path)
     d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)

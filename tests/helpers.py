@@ -1,8 +1,18 @@
-"""Model builders shared across the test suite."""
+"""Model builders and reference implementations shared across the test suite."""
+
+import contextlib
+import csv
 
 import numpy as np
 
 from cas_limits import FiniteCasModel, TrmModel
+from cas_limits.gaussian import (
+    RANK_RTOL,
+    _block_covariance_from_waveform,
+    mmse_filter,
+    reverse_waterfill,
+)
+from cas_limits.simulate import _BATCH
 from cas_limits.waveform import _objective
 
 
@@ -157,3 +167,101 @@ def fd_gradient(model, q, h):
         fm = _objective(model, param_to_mat(vp, n))
         g[k] = (fp - fm) / (2 * h)
     return g
+
+
+def _serial_complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def serial_run_chain(
+    model: TrmModel,
+    x: np.ndarray,
+    rate_budget: float | None,
+    n_trials: int,
+    seed: int,
+    n_workers: int,
+    dump_path=None,
+):
+    """The serial trial loop the simulator replaced: one batch at a time, drawn and
+    computed on the calling thread, dumped through ``csv.writer``.
+
+    Same signature and return value as ``simulate._run_chain``, whose reports and
+    dump bytes it must reproduce exactly.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    x_eff = np.sqrt(model.t) * x
+    w = mmse_filter(model, x_eff)
+    mu, u_sigma = np.linalg.eigh(model.sigma_s)
+    sigma_root = (u_sigma * np.sqrt(np.maximum(np.real(mu), 0.0))) @ u_sigma.conj().T
+
+    if rate_budget is not None:
+        block = _block_covariance_from_waveform(model, x)
+        lam, u = np.linalg.eigh(block)
+        lam = np.maximum(np.real(lam), 0.0)
+        rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
+        # per-mode allocation depends only on the eigenvalue
+        thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
+        alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
+        gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
+        wvar = alloc * gains
+        analytic_d_c = rwf.d_c
+    else:
+        analytic_d_c = None
+
+    sums = {"d_s": 0.0, "d_s2": 0.0, "d_c": 0.0, "d_c2": 0.0,
+            "d": 0.0, "d2": 0.0, "x": 0.0, "x2": 0.0}
+
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if dump_path is not None:
+            writer = csv.writer(stack.enter_context(open(dump_path, "w", newline="")))
+            if rate_budget is not None:
+                writer.writerow(["d_s", "d_c", "d_total", "cross"])
+            else:
+                writer.writerow(["d_s"])
+
+        # contiguous per-worker partitions, each with its own seeded substream
+        base = n_trials // n_workers
+        shares = [base + (1 if i < n_trials % n_workers else 0) for i in range(n_workers)]
+        streams = np.random.SeedSequence(seed).spawn(n_workers)
+        for share, ss in zip(shares, streams):
+            rng = np.random.default_rng(ss)
+            done = 0
+            while done < share:
+                nb = min(_BATCH, share - done)
+                g = _serial_complex_normal(rng, (nb, model.m_s, model.n))
+                s = g @ sigma_root.T
+                noise = np.sqrt(model.noise_s) * _serial_complex_normal(rng, (nb, model.m_s, model.t))
+                z = s @ x_eff.conj() + noise
+                s_est = z @ w.T
+                err_s = s - s_est
+                d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
+                sums["d_s"] += d_s_i.sum()
+                sums["d_s2"] += (d_s_i**2).sum()
+                columns = [d_s_i]
+
+                if rate_budget is not None:
+                    coeff = s_est @ u.conj()
+                    wnoise = _serial_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
+                    coeff_hat = gains * coeff + wnoise
+                    s_hat = coeff_hat @ u.T
+                    err_c = s_est - s_hat
+                    err_t = s - s_hat
+                    d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
+                    d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
+                    x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
+                    sums["d_c"] += d_c_i.sum()
+                    sums["d_c2"] += (d_c_i**2).sum()
+                    sums["d"] += d_i.sum()
+                    sums["d2"] += (d_i**2).sum()
+                    sums["x"] += x_i.sum()
+                    sums["x2"] += (x_i**2).sum()
+                    columns += [d_c_i, d_i, x_i]
+                if writer is not None:
+                    writer.writerows(
+                        [format(v, ".17g") for v in row]
+                        for row in zip(*(c.tolist() for c in columns))
+                    )
+                done += nb
+
+    return sums, analytic_d_c

@@ -150,6 +150,25 @@ def test_simulate_mode_is_byte_deterministic(tmp_path):
     assert (tmp_path / "simulation.json").read_bytes() != first
 
 
+@pytest.mark.parametrize("field, value", [
+    ("workers", 0),
+    ("workers", -1),
+    ("trials", 0),
+    ("rate_budget", -0.5),
+    ("rate_budget", float("nan")),
+])
+def test_simulate_rejects_bad_counts_and_budgets(tmp_path, capsys, field, value):
+    payload = {
+        "mode": "simulate",
+        "model": {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4},
+        "trials": 100,
+    }
+    payload[field] = value
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "simulation.json").exists()
+
+
 def test_out_flag_redirects_artifacts(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "discrete-rd",

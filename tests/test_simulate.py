@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,9 +16,10 @@ from cas_limits import (
     simulate_end_to_end,
     simulate_sensing,
 )
+from cas_limits import simulate
 from cas_limits.gaussian import gram_spectrum, waveform_from_gram
 
-from helpers import scalar_trm_model
+from helpers import scalar_trm_model, serial_run_chain
 
 N_TRIALS = 20_000
 
@@ -164,3 +167,109 @@ def test_input_validation():
         simulate_sensing(model, np.array([[1.0]]), 0, seed=0)
     with pytest.raises(ValueError):
         simulate_end_to_end(model, np.array([[1.0]]), -1.0, 10, seed=0)
+    with pytest.raises(ValueError, match="rate_budget"):
+        simulate_end_to_end(model, np.array([[1.0]]), float("nan"), 10, seed=0)
+    for n_workers in (0, -1):
+        with pytest.raises(ValueError, match="n_workers"):
+            simulate_sensing(model, np.array([[1.0]]), 10, seed=0, n_workers=n_workers)
+        with pytest.raises(ValueError, match="n_workers"):
+            simulate_end_to_end(model, np.array([[1.0]]), 1.0, 10, seed=0, n_workers=n_workers)
+
+
+def _run(model, x, n_trials, n_workers, end_to_end, dump_path=None):
+    if end_to_end:
+        return simulate_end_to_end(model, x, 0.7, n_trials, seed=21, n_workers=n_workers,
+                                   dump_path=dump_path)
+    return simulate_sensing(model, x, n_trials, seed=21, n_workers=n_workers, dump_path=dump_path)
+
+
+# t != n and m_s != n, so a transposed or mis-shaped product cannot pass
+ORACLE_MODELS = [dict(n=3, m_s=2, m_c=2, t=5), dict(n=2, m_s=3, m_c=1, t=4)]
+
+
+@pytest.mark.parametrize("dims", ORACLE_MODELS, ids=["n3-ms2-t5", "n2-ms3-t4"])
+@pytest.mark.parametrize("n_trials", [1, simulate._BATCH, simulate._BATCH + 1, 9_000])
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+@pytest.mark.parametrize("end_to_end", [True, False], ids=["e2e", "sensing"])
+def test_matches_the_serial_reference_loop(tmp_path, monkeypatch, dims, n_trials, n_workers,
+                                           end_to_end):
+    # n_trials = 1 with 2 or 3 workers gives shares of 0 trials, which draw nothing
+    model = random_trm_model(11, **dims)
+    x = uniform_waveform(model)
+    got = _run(model, x, n_trials, n_workers, end_to_end, tmp_path / "got.csv")
+    got_plain = _run(model, x, n_trials, n_workers, end_to_end)
+    monkeypatch.setattr(simulate, "_run_chain", serial_run_chain)
+    want = _run(model, x, n_trials, n_workers, end_to_end, tmp_path / "want.csv")
+    assert got.as_dict() == want.as_dict()
+    assert got_plain.as_dict() == want.as_dict()
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _fail_on_second_call(fn):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure in batch 2")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` on its own thread; fail if it has not returned within ``timeout``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:  # handed to the test, which checks it
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "simulation did not finish"
+    return outcome
+
+
+def test_failed_run_keeps_the_earlier_dump(tmp_path, monkeypatch):
+    model = random_trm_model(6, n=2, m_s=2, m_c=2, t=4)
+    x = uniform_waveform(model)
+    path = tmp_path / "trials.csv"
+    simulate_end_to_end(model, x, 1.0, 500, seed=9, dump_path=path)
+    before = path.read_bytes()
+    monkeypatch.setattr(simulate._Chain, "columns", _fail_on_second_call(simulate._Chain.columns))
+    with pytest.raises(RuntimeError, match="batch 2"):
+        simulate_end_to_end(model, x, 1.0, 3 * simulate._BATCH, seed=10, dump_path=path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_dump_gets_the_mode_of_a_plain_file(tmp_path):
+    model = scalar_trm_model(power=3.0, t=1)
+    path = tmp_path / "trials.csv"
+    simulate_sensing(model, np.array([[np.sqrt(3.0)]]), 10, seed=1, dump_path=path)
+    plain = tmp_path / "plain.csv"
+    plain.write_text("")
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+@pytest.mark.parametrize("failure", [None, "main", "draw"])
+def test_the_draw_thread_is_joined(tmp_path, monkeypatch, failure):
+    if failure == "main":
+        monkeypatch.setattr(simulate._Chain, "columns",
+                            _fail_on_second_call(simulate._Chain.columns))
+    elif failure == "draw":
+        monkeypatch.setattr(simulate, "_draw_batch", _fail_on_second_call(simulate._draw_batch))
+    model = random_trm_model(6, n=2, m_s=2, m_c=2, t=4)
+    x = uniform_waveform(model)
+    threads = threading.active_count()
+    outcome = _bounded(lambda: simulate_end_to_end(
+        model, x, 1.0, 4 * simulate._BATCH, seed=9, dump_path=tmp_path / "trials.csv"))
+    assert threading.active_count() == threads
+    if failure is None:
+        assert outcome["value"].n_trials == 4 * simulate._BATCH
+    else:
+        assert "batch 2" in str(outcome["error"])
