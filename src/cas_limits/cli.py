@@ -27,7 +27,14 @@ from .errors import (
     ZeroProbabilityObservation,
 )
 from .gaussian import GramMatrix, TrmModel, channel_mi, random_trm_model, waveform_from_gram
-from .modelio import atomic_write_file, load_finite_cas_model, load_trm_model
+from .modelio import (
+    atomic_write_file,
+    complex_to_pairs,
+    load_finite_cas_model,
+    load_trm_model,
+    pairs_to_complex,
+    write_json,
+)
 
 MODES = (
     "discrete-capacity",
@@ -46,11 +53,6 @@ _SOLVER_ERRORS = (
     NonFiniteObjective,
     ZeroProbabilityObservation,
 )
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
 
 
 def _rate(value: float, bits: bool) -> float:
@@ -74,7 +76,7 @@ class Config:
         self.data = data
         self.base_dir = base_dir
         self.seed = self.value("seed", int, 0)
-        self.bits = bool(data.get("bits", False))
+        self.bits = self.flag("bits", False)
         self.out_dir = data.get("out_dir", ".")
         self.trials = self.value("trials", int, 10_000)
         self.grid = self.value("grid", float, 1e-3)
@@ -92,6 +94,21 @@ class Config:
             return raw if kind is None else kind(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
+
+    def flag(self, name: str, default: bool) -> bool:
+        """Field ``name``, which must be a JSON boolean when set."""
+        raw = self.data.get(name)
+        if raw is None:
+            return default
+        if not isinstance(raw, bool):
+            raise ConfigError(f"{name}: must be true or false, got {raw!r}")
+        return raw
+
+    def split_grid(self) -> int:
+        split_grid = self.value("split_grid", int, 101)
+        if split_grid < 2:
+            raise ConfigError("split_grid: must be at least 2")
+        return split_grid
 
     def path(self, rel: str) -> str:
         if os.path.isabs(rel):
@@ -144,7 +161,7 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
         "budget": budget,
     }
     out = cfg.out_path(cfg.data.get("output", "capacity.json"))
-    atomic_write_file(lambda p: _write_json(payload, p), out)
+    write_json(payload, out)
     print(f"constrained capacity: {payload['capacity']:.6f} {payload['units']}")
     return [out]
 
@@ -163,7 +180,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         "test_channel": cond.tolist(),
     }
     out = cfg.out_path(cfg.data.get("output", "rate_distortion.json"))
-    atomic_write_file(lambda p: _write_json(payload, p), out)
+    write_json(payload, out)
     print(f"rate at d_c={d_c}: {payload['rate']:.6f} {payload['units']}")
     return [out]
 
@@ -173,7 +190,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     point = discrete.min_total_distortion(model, cfg.value("budget", float), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.data.get("output", "tradeoff.json"))
-    atomic_write_file(lambda p: _write_json(payload, p), out)
+    write_json(payload, out)
     print(
         f"min total distortion: {point.d_total:.6f} "
         f"(d_s={point.d_s:.6f}, d_c={point.d_c:.6f})"
@@ -190,10 +207,10 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "iterations": res.iterations,
         "converged": res.converged,
         "stop": res.stop,
-        "q_star": _complex_payload(res.q_star.q),
+        "q_star": complex_to_pairs(res.q_star.q),
     }
     out = cfg.out_path(cfg.data.get("output", "isac_optimize.json"))
-    atomic_write_file(lambda p: _write_json(payload, p), out)
+    write_json(payload, out)
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
         f"(converged={res.converged}, stop={res.stop}, iterations={res.iterations})"
@@ -203,41 +220,44 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
 
 def _run_trm_sw(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    res = waveform.optimize_sw(model, split_grid=cfg.value("split_grid", int, 101))
+    res = waveform.optimize_sw(model, split_grid=cfg.split_grid())
     q_s, q_c = res.q_star
     payload = {
         "point": _point_payload(res.point, cfg.bits),
         "rho": res.rho,
         "trace_used": res.trace_used,
-        "q_sensing": _complex_payload(q_s.q),
-        "q_comm": _complex_payload(q_c.q),
+        "q_sensing": complex_to_pairs(q_s.q),
+        "q_comm": complex_to_pairs(q_c.q),
     }
     out = cfg.out_path(cfg.data.get("output", "sw_optimize.json"))
-    atomic_write_file(lambda p: _write_json(payload, p), out)
+    write_json(payload, out)
     print(f"sw optimum: total D={res.point.d_total:.6f} at rho={res.rho:.4f}")
     return [out]
 
 
-def _complex_payload(a: np.ndarray) -> list:
-    from .modelio import complex_to_pairs
-
-    return complex_to_pairs(a)
-
-
 def _run_snr_sweep(cfg: Config) -> list[str]:
     template = cfg.trm_model()
-    schemes = tuple(cfg.data.get("schemes", ["isac", "sw"]))
+    snr_db = cfg.value("snr_db", lambda v: [float(s) for s in v])
+    if (not isinstance(cfg.data["snr_db"], list) or not snr_db
+            or not all(map(math.isfinite, snr_db)) or snr_db != sorted(snr_db)):
+        raise ConfigError(f"snr_db: must be a nonempty nondecreasing list of finite numbers; "
+                          f"got {cfg.data['snr_db']!r}")
+    schemes = cfg.data.get("schemes", ["isac", "sw"])
+    if (not isinstance(schemes, list) or not schemes
+            or any(s not in ("isac", "sw") for s in schemes) or len(set(schemes)) < len(schemes)):
+        raise ConfigError(f"schemes: must be a nonempty list of distinct 'isac' and 'sw'; "
+                          f"got {schemes!r}")
     curve = waveform.sweep_snr(
         template,
-        cfg.value("snr_db", lambda v: [float(s) for s in v]),
-        schemes=schemes,
-        split_grid=cfg.value("split_grid", int, 101),
+        snr_db,
+        schemes=tuple(schemes),
+        split_grid=cfg.split_grid(),
         max_iter=cfg.value("max_iter", int, waveform.MAX_ITER),
     )
     out_csv = cfg.out_path(cfg.data.get("output_csv", "sweep.csv"))
     out_json = cfg.out_path(cfg.data.get("output_json", "sweep.json"))
     atomic_write_file(lambda p: waveform.write_curve_csv(curve, p), out_csv)
-    atomic_write_file(lambda p: waveform.write_curve_json(curve, p), out_json)
+    waveform.write_curve_json(curve, out_json)
     print(f"{'snr_db':>8} {'scheme':>6} {'d_total':>12} {'converged':>9}")
     for row in waveform.curve_rows(curve):
         print(
@@ -248,12 +268,11 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
 
 
 def _run_simulate(cfg: Config) -> list[str]:
-    workers = cfg.value("workers", int, 1)
+    if "workers" in cfg.data:
+        raise ConfigError("workers: not an option; every run draws its trials from one RNG stream")
     if cfg.trials < 1:
         raise ConfigError("trials: must be at least 1")
-    if workers < 1:
-        raise ConfigError("workers: must be at least 1")
-    end_to_end = cfg.data.get("end_to_end", True)
+    end_to_end = cfg.flag("end_to_end", True)
     rate_budget = cfg.data.get("rate_budget", "mi")
     if end_to_end and rate_budget != "mi":
         rate_budget = cfg.value("rate_budget", float)
@@ -268,11 +287,12 @@ def _run_simulate(cfg: Config) -> list[str]:
         res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", int, 500))
         x = waveform_from_gram(model, res.q_star)
     elif isinstance(wf_spec, list):
-        from .modelio import pairs_to_complex
-
         x = pairs_to_complex(wf_spec, "waveform")
+        if x.shape != (model.n, model.t):
+            raise ConfigError(f"waveform: expected a {model.n}x{model.t} matrix, "
+                              f"got shape {x.shape}")
     else:
-        raise ConfigError("waveform must be 'uniform', 'isac-optimal', or a complex matrix")
+        raise ConfigError("waveform: must be 'uniform', 'isac-optimal', or a complex matrix")
 
     dump = cfg.data.get("dump_trials")
     dump_path = cfg.out_path(dump) if dump else None
@@ -280,14 +300,12 @@ def _run_simulate(cfg: Config) -> list[str]:
         if rate_budget == "mi":
             rate_budget = channel_mi(model, GramMatrix(x @ x.conj().T))
         report = simulate.simulate_end_to_end(
-            model, x, rate_budget, cfg.trials, cfg.seed, n_workers=workers, dump_path=dump_path,
+            model, x, rate_budget, cfg.trials, cfg.seed, dump_path=dump_path,
         )
     else:
-        report = simulate.simulate_sensing(
-            model, x, cfg.trials, cfg.seed, n_workers=workers, dump_path=dump_path,
-        )
+        report = simulate.simulate_sensing(model, x, cfg.trials, cfg.seed, dump_path=dump_path)
     out = cfg.out_path(cfg.data.get("output", "simulation.json"))
-    atomic_write_file(report.to_json, out)
+    report.to_json(out)
     print(
         f"simulated {cfg.trials} trials: d_s={report.d_s_emp:.6f} "
         f"(analytic {report.d_s_analytic:.6f})"

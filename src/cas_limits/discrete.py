@@ -378,7 +378,7 @@ def constrained_capacity(
         return p @ score, score, -(w / (q + _LOG_FLOOR)) @ w.T
 
     p = _certified_ba(
-        lambda max_iter: ba_capacity(w, np.zeros(n), BA_TOL, max_iter),
+        lambda max_iter: ba_capacity(w, BA_TOL, max_iter),
         lambda p: _simplex_newton(p, oracle, BA_TOL),
         BA_TOL,
         "constrained_capacity",

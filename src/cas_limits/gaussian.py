@@ -124,7 +124,6 @@ class Spectrum:
     """Eigenvalues of the estimate covariance, multiplicity-expanded, descending."""
 
     eigenvalues: np.ndarray
-    xi: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -134,8 +133,6 @@ class Spectrum:
         if np.any(np.diff(vals) > 1e-12):
             vals = np.sort(vals)[::-1]
         object.__setattr__(self, "eigenvalues", vals)
-        if self.xi is not None and self.xi < 0:
-            raise ValueError("xi must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,23 @@ import numpy as np
 _LOG_FLOOR = 1e-300
 
 
-def ba_capacity(w, penalty, tol=1e-12, max_iter=100_000):
-    """Penalized Blahut-Arimoto input-distribution update.
+def ba_capacity(w, tol=1e-12, max_iter=100_000):
+    """Blahut-Arimoto input-distribution update.
 
-    Maximizes I(p; w) - sum_x p(x) penalty(x) over the simplex, where
-    w[x, y] is the channel law. Convergence is certified by the gap
-    between the standard per-iteration upper and lower bounds on the
-    penalized objective.
+    Maximizes I(p; w) over the simplex, where w[x, y] is the channel law.
+    Convergence is certified by the gap between the standard per-iteration
+    upper and lower bounds on the capacity.
 
     Returns (p, iterations).
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
-    penalty = np.ascontiguousarray(penalty, dtype=np.float64)
     nx = w.shape[0]
     p = np.full(nx, 1.0 / nx)
     wlogw = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1)
     it = 0
     for it in range(1, max_iter + 1):
         py = p @ w
-        score = wlogw - w @ np.log(py + _LOG_FLOOR) - penalty
+        score = wlogw - w @ np.log(py + _LOG_FLOOR)
         m = score.max()
         r = p * np.exp(score - m)
         s = r.sum()

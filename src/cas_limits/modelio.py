@@ -37,6 +37,16 @@ def atomic_write_file(write_fn, path) -> None:
         raise
 
 
+def write_json(payload, path) -> None:
+    """Write ``payload`` to ``path`` as indented JSON, atomically."""
+
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2)
+
+    atomic_write_file(write, path)
+
+
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
@@ -94,8 +104,7 @@ def save_finite_cas_model(model: FiniteCasModel, path) -> None:
         "distortion": model.distortion.tolist(),
         "cost": model.cost.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json(payload, path)
 
 
 def load_trm_model(path) -> TrmModel:
@@ -125,5 +134,4 @@ def save_trm_model(model: TrmModel, path) -> None:
         "m_s": model.m_s,
         "power": model.power,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_json(payload, path)

@@ -13,7 +13,6 @@ calibration test in the suite.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .gaussian import (
     sensing_mse,
     _block_covariance_from_waveform,
 )
-from .modelio import atomic_write_file
+from .modelio import atomic_write_file, write_json
 
 _BATCH = 4096
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -45,7 +44,6 @@ class SimReport:
 
     n_trials: int
     seed: int
-    n_workers: int
     d_s_emp: float
     d_s_se: float
     d_s_analytic: float
@@ -69,8 +67,7 @@ class SimReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
+        write_json(self.as_dict(), path)
 
 
 def _draw_complex_normal(rng, shape, scratch) -> np.ndarray:
@@ -98,20 +95,6 @@ def _draw_batch(rng, nb, dims, end_to_end, scratch):
     noise = _draw_complex_normal(rng, (nb, m_s, t), scratch)
     wnoise = _draw_complex_normal(rng, (nb, m_s, n), scratch) if end_to_end else None
     return g, noise, wnoise
-
-
-def _batches(n_trials, seed, n_workers):
-    """(generator, batch size) pairs in draw order.
-
-    The trials are split into ``n_workers`` contiguous shares, each drawn from
-    its own ``SeedSequence`` substream; a share of 0 trials draws nothing.
-    """
-    base, extra = divmod(n_trials, n_workers)
-    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_workers)):
-        share = base + (i < extra)
-        rng = np.random.default_rng(stream)
-        for done in range(0, share, _BATCH):
-            yield rng, min(_BATCH, share - done)
 
 
 def _matmul(a, b):
@@ -197,16 +180,18 @@ def _write_rows(fh, columns) -> None:
     fh.write((row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist()))
 
 
-def _trial_loop(chain: _Chain, n_trials, seed, n_workers, fh=None) -> dict:
+def _trial_loop(chain: _Chain, n_trials, seed, fh=None) -> dict:
     """Accumulated sums per metric; with ``fh``, one dump row per trial as well.
 
     One helper thread draws each batch while this thread computes and writes the
-    one before it. Only the helper touches the generators, so the draws come in
+    one before it. Only the helper touches the generator, so the draws come in
     the serial order and the results are bit-identical to a serial loop.
     """
     sums = dict.fromkeys(["d_s", "d_s2", "d_c", "d_c2", "d", "d2", "x", "x2"], 0.0)
     m_s, n, t = chain.dims
     scratch = np.empty(2 * min(_BATCH, n_trials) * m_s * max(n, t))
+    # the spawned child, not SeedSequence(seed) itself, keeps the bytes of earlier runs
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     def consume(batch):
         columns = chain.columns(*batch)
@@ -218,7 +203,8 @@ def _trial_loop(chain: _Chain, n_trials, seed, n_workers, fh=None) -> dict:
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = None
-        for rng, nb in _batches(n_trials, seed, n_workers):
+        for done in range(0, n_trials, _BATCH):
+            nb = min(_BATCH, n_trials - done)
             ahead = pool.submit(_draw_batch, rng, nb, chain.dims, chain.end_to_end, scratch)
             if pending is not None:
                 consume(pending.result())
@@ -233,7 +219,6 @@ def _run_chain(
     rate_budget: float | None,
     n_trials: int,
     seed: int,
-    n_workers: int,
     dump_path=None,
 ):
     """Shared trial loop; returns accumulated sums per metric and the analytic d_c.
@@ -243,7 +228,7 @@ def _run_chain(
     """
     chain = _Chain(model, x, rate_budget)
     if dump_path is None:
-        return _trial_loop(chain, n_trials, seed, n_workers), chain.analytic_d_c
+        return _trial_loop(chain, n_trials, seed), chain.analytic_d_c
 
     header = "d_s,d_c,d_total,cross\r\n" if chain.end_to_end else "d_s\r\n"
     sums = {}
@@ -251,17 +236,10 @@ def _run_chain(
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
             fh.write(header)
-            sums.update(_trial_loop(chain, n_trials, seed, n_workers, fh))
+            sums.update(_trial_loop(chain, n_trials, seed, fh))
 
     atomic_write_file(write, dump_path)
     return sums, chain.analytic_d_c
-
-
-def _check_counts(n_trials: int, n_workers: int) -> None:
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
 
 
 def simulate_sensing(
@@ -269,24 +247,22 @@ def simulate_sensing(
     x: np.ndarray,
     n_trials: int,
     seed: int,
-    n_workers: int = 1,
     dump_path=None,
 ) -> SimReport:
     """Estimate the sensing MSE empirically for waveform x (N x T).
 
-    ``n_workers`` only sets the number of RNG substreams (contiguous shares of
-    the trials, each seeded from ``seed``); it starts no workers. One helper
-    thread draws the normals one batch ahead of the computation, and the
-    report and dump are bit-identical to a serial run.
+    All trials draw from one RNG stream seeded by ``seed``. One helper thread
+    draws the normals one batch ahead of the computation, and the report and
+    dump are bit-identical to a serial run.
     """
-    _check_counts(n_trials, n_workers)
-    sums, _ = _run_chain(model, x, None, n_trials, seed, n_workers, dump_path)
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    sums, _ = _run_chain(model, x, None, n_trials, seed, dump_path)
     d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)
     x = np.asarray(x, dtype=np.complex128)
     return SimReport(
         n_trials=n_trials,
         seed=seed,
-        n_workers=n_workers,
         d_s_emp=d_s_emp,
         d_s_se=d_s_se,
         d_s_analytic=sensing_mse(model, x @ x.conj().T),
@@ -299,21 +275,21 @@ def simulate_end_to_end(
     rate_budget: float,
     n_trials: int,
     seed: int,
-    n_workers: int = 1,
     dump_path=None,
 ) -> SimReport:
     """Full chain: sensing, MMSE estimate, forward test channel, reconstruction.
 
     Per retained eigenmode the reconstruction is a scaled estimate plus
     independent Gaussian noise matched to the reverse-water-filling
-    allocation; fully allocated modes reconstruct to zero. ``n_workers``
-    only sets the number of RNG substreams, as in ``simulate_sensing``; the
-    draws run one batch ahead on one helper thread, bit-identical to serial.
+    allocation; fully allocated modes reconstruct to zero. The draws come
+    from one RNG stream and run one batch ahead on one helper thread, as in
+    ``simulate_sensing``, bit-identical to serial.
     """
-    _check_counts(n_trials, n_workers)
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
     if not rate_budget >= 0:
         raise ValueError("rate_budget must be nonnegative")
-    sums, analytic_d_c = _run_chain(model, x, rate_budget, n_trials, seed, n_workers, dump_path)
+    sums, analytic_d_c = _run_chain(model, x, rate_budget, n_trials, seed, dump_path)
     d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)
     d_c_emp, d_c_se = _mean_se(sums["d_c"], sums["d_c2"], n_trials)
     d_emp, d_se = _mean_se(sums["d"], sums["d2"], n_trials)
@@ -323,7 +299,6 @@ def simulate_end_to_end(
     return SimReport(
         n_trials=n_trials,
         seed=seed,
-        n_workers=n_workers,
         d_s_emp=d_s_emp,
         d_s_se=d_s_se,
         d_s_analytic=d_s_analytic,

@@ -11,7 +11,6 @@ the prior and of the channel Gram.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +26,7 @@ from .gaussian import (
     sensing_mse,
     water_level,
 )
+from .modelio import write_json
 from .types import TradeoffPoint
 
 FTOL = 1e-8             # stop when the objective drops less than this over WINDOW
@@ -171,7 +171,6 @@ def optimize_isac(
     model: TrmModel,
     init: GramMatrix | np.ndarray | None = None,
     max_iter: int = MAX_ITER,
-    ftol: float = FTOL,
 ) -> OptResult:
     """Minimize D_s(Q) + D_c(Q) over {Q PSD, Tr Q <= T P_T}.
 
@@ -221,7 +220,7 @@ def optimize_isac(
             break
         qa, f = qa_new, f_new
         history.append(f)
-        if len(history) > WINDOW and history[-1 - WINDOW] - f < ftol:
+        if len(history) > WINDOW and history[-1 - WINDOW] - f < FTOL:
             stop = "ftol"
             break
     else:
@@ -428,5 +427,4 @@ def read_curve_csv(path) -> list[dict]:
 
 def write_curve_json(curve: SweepCurve, path) -> None:
     payload = {"snr_db": curve.snr_db, "rows": curve_rows(curve), "errors": curve.errors}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
+    write_json(payload, path)

@@ -179,7 +179,6 @@ def serial_run_chain(
     rate_budget: float | None,
     n_trials: int,
     seed: int,
-    n_workers: int,
     dump_path=None,
 ):
     """The serial trial loop the simulator replaced: one batch at a time, drawn and
@@ -220,48 +219,43 @@ def serial_run_chain(
             else:
                 writer.writerow(["d_s"])
 
-        # contiguous per-worker partitions, each with its own seeded substream
-        base = n_trials // n_workers
-        shares = [base + (1 if i < n_trials % n_workers else 0) for i in range(n_workers)]
-        streams = np.random.SeedSequence(seed).spawn(n_workers)
-        for share, ss in zip(shares, streams):
-            rng = np.random.default_rng(ss)
-            done = 0
-            while done < share:
-                nb = min(_BATCH, share - done)
-                g = _serial_complex_normal(rng, (nb, model.m_s, model.n))
-                s = g @ sigma_root.T
-                noise = np.sqrt(model.noise_s) * _serial_complex_normal(rng, (nb, model.m_s, model.t))
-                z = s @ x_eff.conj() + noise
-                s_est = z @ w.T
-                err_s = s - s_est
-                d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
-                sums["d_s"] += d_s_i.sum()
-                sums["d_s2"] += (d_s_i**2).sum()
-                columns = [d_s_i]
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        done = 0
+        while done < n_trials:
+            nb = min(_BATCH, n_trials - done)
+            g = _serial_complex_normal(rng, (nb, model.m_s, model.n))
+            s = g @ sigma_root.T
+            noise = np.sqrt(model.noise_s) * _serial_complex_normal(rng, (nb, model.m_s, model.t))
+            z = s @ x_eff.conj() + noise
+            s_est = z @ w.T
+            err_s = s - s_est
+            d_s_i = np.sum(np.abs(err_s) ** 2, axis=(1, 2))
+            sums["d_s"] += d_s_i.sum()
+            sums["d_s2"] += (d_s_i**2).sum()
+            columns = [d_s_i]
 
-                if rate_budget is not None:
-                    coeff = s_est @ u.conj()
-                    wnoise = _serial_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
-                    coeff_hat = gains * coeff + wnoise
-                    s_hat = coeff_hat @ u.T
-                    err_c = s_est - s_hat
-                    err_t = s - s_hat
-                    d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
-                    d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
-                    x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
-                    sums["d_c"] += d_c_i.sum()
-                    sums["d_c2"] += (d_c_i**2).sum()
-                    sums["d"] += d_i.sum()
-                    sums["d2"] += (d_i**2).sum()
-                    sums["x"] += x_i.sum()
-                    sums["x2"] += (x_i**2).sum()
-                    columns += [d_c_i, d_i, x_i]
-                if writer is not None:
-                    writer.writerows(
-                        [format(v, ".17g") for v in row]
-                        for row in zip(*(c.tolist() for c in columns))
-                    )
-                done += nb
+            if rate_budget is not None:
+                coeff = s_est @ u.conj()
+                wnoise = _serial_complex_normal(rng, (nb, model.m_s, model.n)) * np.sqrt(wvar)
+                coeff_hat = gains * coeff + wnoise
+                s_hat = coeff_hat @ u.T
+                err_c = s_est - s_hat
+                err_t = s - s_hat
+                d_c_i = np.sum(np.abs(err_c) ** 2, axis=(1, 2))
+                d_i = np.sum(np.abs(err_t) ** 2, axis=(1, 2))
+                x_i = np.sum(np.real(err_s.conj() * err_c), axis=(1, 2))
+                sums["d_c"] += d_c_i.sum()
+                sums["d_c2"] += (d_c_i**2).sum()
+                sums["d"] += d_i.sum()
+                sums["d2"] += (d_i**2).sum()
+                sums["x"] += x_i.sum()
+                sums["x2"] += (x_i**2).sum()
+                columns += [d_c_i, d_i, x_i]
+            if writer is not None:
+                writer.writerows(
+                    [format(v, ".17g") for v in row]
+                    for row in zip(*(c.tolist() for c in columns))
+                )
+            done += nb
 
     return sums, analytic_d_c

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cas_limits.cli import MODES, main
-from cas_limits.modelio import save_finite_cas_model, save_trm_model
+from cas_limits.modelio import save_finite_cas_model, save_trm_model, write_json
 from cas_limits.waveform import CONVERGED_STOPS, STOP_REASONS
 from cas_limits import random_trm_model
 
@@ -169,6 +169,17 @@ def test_simulate_rejects_bad_counts_and_budgets(tmp_path, capsys, field, value)
     assert not (tmp_path / "simulation.json").exists()
 
 
+def test_failed_json_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"rate": 0.5}, path)
+    before = path.read_bytes()
+    # json.dump writes the first key before it reaches the object it cannot encode
+    with pytest.raises(TypeError):
+        write_json({"rate": 0.25, "bad": object()}, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_out_flag_redirects_artifacts(tmp_path):
     cfg = write_config(tmp_path, {
         "mode": "discrete-rd",
@@ -226,6 +237,19 @@ def test_unwritable_output_exits_4(tmp_path):
     assert main(["--config", cfg]) == 4
 
 
+# the smallest valid config of each mode that a bad value is tried in
+VALID_CONFIGS = {
+    "discrete-rd": {"source": [0.5, 0.5], "distortion": [[0.0, 1.0], [1.0, 0.0]], "d_c": 0.2},
+    "trm-sw": {"model": {"seed": 2, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "split_grid": 21},
+    "snr-sweep": {"model": {"seed": 3, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "snr_db": [0.0],
+                  "split_grid": 21, "max_iter": 200},
+    "simulate": {"model": {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "trials": 100},
+}
+# the mode a field is tried in, where it is not discrete-rd
+MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "trm-sw",
+                 "waveform": "simulate", "end_to_end": "simulate", "workers": "simulate"}
+
+
 @pytest.mark.parametrize("field, value", [
     ("grid", "abc"),
     ("seed", "x"),
@@ -233,17 +257,21 @@ def test_unwritable_output_exits_4(tmp_path):
     ("source", [0.6, 0.5]),
     ("distortion", [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
     ("distortion", [[0.0, -1.0], [1.0, 0.0]]),
+    ("bits", "false"),
+    ("snr_db", []),
+    ("snr_db", [5.0, 0.0]),
+    ("schemes", "sw"),
+    ("split_grid", 1),
+    ("waveform", [[[1.0, 0.0]]]),
+    ("end_to_end", "false"),
+    ("workers", 2),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, field, value):
-    payload = {
-        "mode": "discrete-rd",
-        "source": [0.5, 0.5],
-        "distortion": [[0.0, 1.0], [1.0, 0.0]],
-        "d_c": 0.2,
-    }
-    payload[field] = value
+    mode = MODE_OF_FIELD.get(field, "discrete-rd")
+    payload = {"mode": mode, **VALID_CONFIGS[mode], field: value}
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_model_path_that_is_not_a_string_exits_2(tmp_path, capsys):

@@ -13,7 +13,7 @@ def test_backend_name_is_valid():
 def test_capacity_kernel_matches_closed_form_bsc():
     eps = 0.1
     w = np.array([[1 - eps, eps], [eps, 1 - eps]])
-    p, _ = kernels.ba_capacity(w, np.zeros(2))
+    p, _ = kernels.ba_capacity(w)
     py = p @ w
     cap = float(
         np.einsum("x,xy->", p, w * (np.log(w) - np.log(py)[None, :]))
@@ -21,13 +21,6 @@ def test_capacity_kernel_matches_closed_form_bsc():
     h2 = -(eps * np.log(eps) + (1 - eps) * np.log(1 - eps))
     assert abs(cap - (np.log(2) - h2)) < 1e-9
     assert np.allclose(p, 0.5, atol=1e-6)
-
-
-def test_capacity_kernel_penalty_shifts_mass():
-    w = np.array([[0.9, 0.1], [0.1, 0.9]])
-    p0, _ = kernels.ba_capacity(w, np.zeros(2))
-    p1, _ = kernels.ba_capacity(w, np.array([1.0, 0.0]))
-    assert p1[0] < p0[0]
 
 
 def test_rd_kernel_zero_mass_rows_get_point_masses():
