@@ -63,6 +63,27 @@ def _unit(bits: bool) -> str:
     return "bits" if bits else "nats"
 
 
+def _integer(raw) -> int:
+    """``raw`` as an int; a number with a fractional part is an error, not truncated."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _convert(name: str, raw, kind):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 class Config:
     """Validated experiment configuration."""
 
@@ -75,10 +96,10 @@ class Config:
         self.mode = mode
         self.data = data
         self.base_dir = base_dir
-        self.seed = self.value("seed", int, 0)
+        self.seed = self.value("seed", _integer, 0)
         self.bits = self.flag("bits", False)
         self.out_dir = data.get("out_dir", ".")
-        self.trials = self.value("trials", int, 10_000)
+        self.trials = self.value("trials", _integer, 10_000)
         self.grid = self.value("grid", float, 1e-3)
         if self.grid <= 0:
             raise ConfigError("grid must be positive")
@@ -90,10 +111,7 @@ class Config:
             if default is None:
                 raise ConfigError(f"mode {self.mode}: missing required field '{name}'")
             return default
-        try:
-            return raw if kind is None else kind(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        return raw if kind is None else _convert(name, raw, kind)
 
     def flag(self, name: str, default: bool) -> bool:
         """Field ``name``, which must be a JSON boolean when set."""
@@ -105,7 +123,7 @@ class Config:
         return raw
 
     def split_grid(self) -> int:
-        split_grid = self.value("split_grid", int, 101)
+        split_grid = self.value("split_grid", _integer, 101)
         if split_grid < 2:
             raise ConfigError("split_grid: must be at least 2")
         return split_grid
@@ -125,16 +143,19 @@ class Config:
         if isinstance(spec, str):
             return load_trm_model(self.path(spec))
         if isinstance(spec, dict):
+            def field(key, kind, default):
+                return _convert(f"model.{key}", spec.get(key, default), kind)
+
             try:
                 return random_trm_model(
-                    seed=int(spec.get("seed", self.seed)),
-                    n=int(spec.get("n", 4)),
-                    m_s=int(spec.get("m_s", 4)),
-                    m_c=int(spec.get("m_c", 4)),
-                    t=int(spec.get("t", 16)),
-                    power=float(spec.get("power", 1.0)),
-                    noise_s=float(spec.get("noise_s", 1.0)),
-                    noise_c=float(spec.get("noise_c", 1.0)),
+                    seed=field("seed", _integer, self.seed),
+                    n=field("n", _integer, 4),
+                    m_s=field("m_s", _integer, 4),
+                    m_c=field("m_c", _integer, 4),
+                    t=field("t", _integer, 16),
+                    power=field("power", float, 1.0),
+                    noise_s=field("noise_s", float, 1.0),
+                    noise_c=field("noise_c", float, 1.0),
                 )
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model generator: {exc}") from exc
@@ -171,7 +192,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         source, dist = discrete._rd_inputs(cfg.value("source"), cfg.value("distortion"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    d_c = cfg.value("d_c", float)
+    d_c = cfg.value("d_c", _finite)
     rate, cond = discrete.rate_distortion_discrete(source, dist, d_c)
     payload = {
         "rate": _rate(rate, cfg.bits),
@@ -200,7 +221,8 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
 
 def _run_trm_optimize(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", int, waveform.MAX_ITER))
+    max_iter = cfg.value("max_iter", _integer, waveform.MAX_ITER)
+    res = waveform.optimize_isac(model, max_iter=max_iter)
     payload = {
         "point": _point_payload(res.point, cfg.bits),
         "trace_used": res.trace_used,
@@ -252,7 +274,7 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
         snr_db,
         schemes=tuple(schemes),
         split_grid=cfg.split_grid(),
-        max_iter=cfg.value("max_iter", int, waveform.MAX_ITER),
+        max_iter=cfg.value("max_iter", _integer, waveform.MAX_ITER),
     )
     out_csv = cfg.out_path(cfg.data.get("output_csv", "sweep.csv"))
     out_json = cfg.out_path(cfg.data.get("output_json", "sweep.json"))
@@ -284,7 +306,7 @@ def _run_simulate(cfg: Config) -> list[str]:
         q = (model.trace_budget / model.n) * np.eye(model.n)
         x = waveform_from_gram(model, q)
     elif wf_spec == "isac-optimal":
-        res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", int, 500))
+        res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", _integer, 500))
         x = waveform_from_gram(model, res.q_star)
     elif isinstance(wf_spec, list):
         x = pairs_to_complex(wf_spec, "waveform")

@@ -32,7 +32,7 @@ BA_MAX_ITER = 100_000
 BA_POLISH_AFTER = 300    # Blahut-Arimoto iterations before a Newton polish is tried
 SLACK_TOL = 1e-8        # limits this far below every input law's cost are raised to it
 _BETA_CAP = 1e8         # rate-distortion slope doubling safety cap
-_BISECT_STEPS = 200
+_BISECT_STEPS = 200     # cap on steps of safeguarded false position on the slope per R(D) search
 _NEWTON_STEPS = 50
 _SCREEN = 1e-6          # a Newton polish starts without coordinates below this times the largest
 _LOG_FLOOR = 1e-300
@@ -467,17 +467,21 @@ def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoi
     return _RdPoint(beta, cond, rate, dist, lower)
 
 
-def _rd_search(source, distortion, past, bound_gap, what: str):
-    """Bracket a target on the R(D) curve by bisection on the slope beta.
+def _rd_search(source, distortion, excess, bound_gap, what: str):
+    """Bracket a target on the R(D) curve by safeguarded false position on the slope beta.
 
-    ``past(point)`` is False at the low-beta end ``lo`` of the bracket and
-    True at the high-beta end ``hi``; they start at the zero-rate point
-    (beta = 0) and the minimum-distortion point (beta = inf), and beta
-    doubles from 1 until a point is past the target. The search stops once
-    ``bound_gap(lo, hi)``, the distance between an achievable upper bound
-    and a certified lower bound at the target, is below RD_TOL, which on a
-    straight segment of the curve happens as soon as lo and hi sit on it.
-    Returns (lo, hi).
+    ``excess(point)``, the signed distance of a point from the target, is
+    positive at the low-beta end ``lo`` of the bracket and at most zero at
+    the high-beta end ``hi``; they start at the zero-rate point (beta = 0)
+    and the minimum-distortion point (beta = inf), and beta doubles from 1
+    until a point is past the target. Inside a finite bracket the next beta
+    is the Illinois false-position step on the excess (Dowell and Jarratt,
+    BIT 11, 1971), or the midpoint when that step is not strictly inside
+    the bracket or the bracket has not halved over the last two steps. The
+    search stops once ``bound_gap(lo, hi)``, the distance between an
+    achievable upper bound and a certified lower bound at the target, is
+    below RD_TOL, which on a straight segment of the curve happens as soon
+    as lo and hi sit on it. Returns (lo, hi).
     """
     cond_zero, d_zero = _zero_rate_channel(source, distortion)
     lo = _RdPoint(0.0, cond_zero, 0.0, d_zero, 0.0)
@@ -485,24 +489,36 @@ def _rd_search(source, distortion, past, bound_gap, what: str):
     hi = _RdPoint(
         math.inf, cond_min, rate_max, _min_row_distortion(source, distortion), -math.inf
     )
+    f_lo, f_hi = excess(lo), excess(hi)
+    kept = None                       # the end the last step kept, for the Illinois halving
+    widths = [math.inf, math.inf]     # bracket widths before the last two steps
     for _ in range(_BISECT_STEPS):
         if bound_gap(lo, hi) < RD_TOL:
             return lo, hi
+        width = hi.beta - lo.beta
         if math.isinf(hi.beta):
             if lo.beta >= _BETA_CAP:
                 _warn(f"{what}: beta reached its cap {lo.beta:.3g}; "
                       f"bound gap {bound_gap(lo, hi):.3e}")
                 return lo, hi
             beta = max(1.0, 2.0 * lo.beta)
-        elif hi.beta - lo.beta < 1e-15 * max(1.0, hi.beta):
+        elif width < 1e-15 * max(1.0, hi.beta):
             break
         else:
-            beta = 0.5 * (lo.beta + hi.beta)
+            beta = lo.beta + width * f_lo / (f_lo - f_hi)
+            if not lo.beta < beta < hi.beta or width > 0.5 * widths[0]:
+                beta = 0.5 * (lo.beta + hi.beta)
+        widths = [widths[1], width]
         point = _rd_point(source, distortion, beta)
-        if past(point):
-            hi = point
+        f = excess(point)
+        if f <= 0.0:
+            if kept == "lo":
+                f_lo *= 0.5
+            hi, f_hi, kept = point, f, "lo"
         else:
-            lo = point
+            if kept == "hi":
+                f_hi *= 0.5
+            lo, f_lo, kept = point, f, "hi"
     _warn(f"{what}: beta bisection stopped at beta in [{lo.beta:.12g}, {hi.beta:.12g}] "
           f"before its bounds met; bound gap {bound_gap(lo, hi):.3e}")
     return lo, hi
@@ -527,13 +543,15 @@ def rate_distortion_discrete(
 
     Returns the minimum mutual information and an achieving test channel
     P(reconstruction | source symbol). Solved by Blahut-Arimoto with
-    bisection on the slope parameter until two bounds on R(d_c) agree to
-    RD_TOL: the chord between the bracketing points, which time-sharing
-    their test channels achieves, and the certified dual tangent. The
-    returned rate is the chord value and the channel the time-sharing mix,
-    whose distortion is exactly d_c.
+    safeguarded false position on the slope parameter until two bounds on
+    R(d_c) agree to RD_TOL: the chord between the bracketing points, which
+    time-sharing their test channels achieves, and the certified dual
+    tangent. The returned rate is the chord value and the channel the
+    time-sharing mix, whose distortion is exactly d_c.
     """
     source, distortion = _rd_inputs(source, distortion)
+    if not math.isfinite(d_c):
+        raise ValueError(f"d_c: must be finite, got {d_c!r}")
     if d_c < 0:
         raise UnreachableDistortion(f"d_c={d_c} is negative")
 
@@ -559,7 +577,7 @@ def rate_distortion_discrete(
         return upper - max(lo.tangent(d_c), hi.tangent(d_c))
 
     lo, hi = _rd_search(
-        source, distortion, lambda pt: pt.dist <= d_c, bound_gap,
+        source, distortion, lambda pt: pt.dist - d_c, bound_gap,
         f"rate_distortion_discrete at d_c={d_c:.12g}",
     )
     theta = weight(lo, hi)
@@ -572,14 +590,16 @@ def rate_distortion_inverse(
 ) -> tuple[float, float]:
     """Smallest d_c with R(d_c) <= rate. Returns (d_c, rate_used).
 
-    Inverts the rate-distortion curve by bisection on the slope parameter
-    (the curve is traversed monotonically in the slope), which avoids the
-    cost of re-solving R(D) per candidate d_c. The search stops once the
-    distortion that time-sharing the bracketing points achieves at this
-    rate and the lower bound from their certified tangents agree to
-    RD_TOL; the achievable one is returned.
+    Inverts the rate-distortion curve by safeguarded false position on the
+    slope parameter (the curve is traversed monotonically in the slope),
+    which avoids the cost of re-solving R(D) per candidate d_c. The search
+    stops once the distortion that time-sharing the bracketing points
+    achieves at this rate and the lower bound from their certified tangents
+    agree to RD_TOL; the achievable one is returned.
     """
     source, distortion = _rd_inputs(source, distortion)
+    if not math.isfinite(rate):
+        raise ValueError(f"rate: must be finite, got {rate!r}")
     _, d_zero = _zero_rate_channel(source, distortion)
     if rate <= 0.0:
         return d_zero, 0.0
@@ -600,7 +620,7 @@ def rate_distortion_inverse(
         return achievable(lo, hi) - lower
 
     lo, hi = _rd_search(
-        source, distortion, lambda pt: pt.rate >= rate, bound_gap,
+        source, distortion, lambda pt: rate - pt.rate, bound_gap,
         f"rate_distortion_inverse at rate={rate:.12g}",
     )
     return max(d_min, float(achievable(lo, hi))), rate

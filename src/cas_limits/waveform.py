@@ -330,13 +330,20 @@ def sweep_snr(
 
     SNR is applied as P_T / sigma^2 referenced to the communication noise
     power, with both noise powers held fixed. Per-point failures are
-    recorded instead of aborting the sweep.
+    recorded instead of aborting the sweep; an unknown or repeated scheme
+    name raises ValueError before the first point.
     """
     snr_db = [float(s) for s in snr_db]
     if not snr_db:
         raise ValueError("snr_db must be nonempty")
     if any(b < a for a, b in zip(snr_db, snr_db[1:])):
         raise ValueError("snr_db grid must be nondecreasing")
+    solvers = {
+        "isac": lambda model: optimize_isac(model, max_iter=max_iter),
+        "sw": lambda model: optimize_sw(model, split_grid=split_grid),
+    }
+    if any(s not in solvers for s in schemes) or len(set(schemes)) < len(schemes):
+        raise ValueError(f"schemes must be distinct names out of 'isac' and 'sw'; got {schemes!r}")
     results: dict[str, list[OptResult | None]] = {s: [] for s in schemes}
     errors: dict[str, list[str | None]] = {s: [] for s in schemes}
     for snr in snr_db:
@@ -344,12 +351,7 @@ def sweep_snr(
         model = replace(template, power=power)
         for scheme in schemes:
             try:
-                if scheme == "isac":
-                    res = optimize_isac(model, max_iter=max_iter)
-                elif scheme == "sw":
-                    res = optimize_sw(model, split_grid=split_grid)
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
+                res = solvers[scheme](model)
                 results[scheme].append(res)
                 errors[scheme].append(None)
             except Exception as exc:  # noqa: BLE001 - per-point isolation

@@ -2,10 +2,22 @@
 
 import contextlib
 import csv
+import math
 
 import numpy as np
 
 from cas_limits import FiniteCasModel, TrmModel
+from cas_limits.discrete import (
+    RD_TOL,
+    _BETA_CAP,
+    _BISECT_STEPS,
+    _RdPoint,
+    _deterministic_channel,
+    _min_row_distortion,
+    _rd_point,
+    _warn,
+    _zero_rate_channel,
+)
 from cas_limits.gaussian import (
     RANK_RTOL,
     _block_covariance_from_waveform,
@@ -259,3 +271,48 @@ def serial_run_chain(
             done += nb
 
     return sums, analytic_d_c
+
+
+# The slope search the R(D) solvers used before false position: plain
+# bisection inside a finite bracket. Kept unchanged as the oracle whose
+# answers the new search must reproduce. ``past(point)`` is
+# ``excess(point) <= 0`` for the new search's ``excess``.
+def bisection_rd_search(source, distortion, past, bound_gap, what: str):
+    """Bracket a target on the R(D) curve by bisection on the slope beta.
+
+    ``past(point)`` is False at the low-beta end ``lo`` of the bracket and
+    True at the high-beta end ``hi``; they start at the zero-rate point
+    (beta = 0) and the minimum-distortion point (beta = inf), and beta
+    doubles from 1 until a point is past the target. The search stops once
+    ``bound_gap(lo, hi)``, the distance between an achievable upper bound
+    and a certified lower bound at the target, is below RD_TOL, which on a
+    straight segment of the curve happens as soon as lo and hi sit on it.
+    Returns (lo, hi).
+    """
+    cond_zero, d_zero = _zero_rate_channel(source, distortion)
+    lo = _RdPoint(0.0, cond_zero, 0.0, d_zero, 0.0)
+    cond_min, rate_max = _deterministic_channel(source, distortion)
+    hi = _RdPoint(
+        math.inf, cond_min, rate_max, _min_row_distortion(source, distortion), -math.inf
+    )
+    for _ in range(_BISECT_STEPS):
+        if bound_gap(lo, hi) < RD_TOL:
+            return lo, hi
+        if math.isinf(hi.beta):
+            if lo.beta >= _BETA_CAP:
+                _warn(f"{what}: beta reached its cap {lo.beta:.3g}; "
+                      f"bound gap {bound_gap(lo, hi):.3e}")
+                return lo, hi
+            beta = max(1.0, 2.0 * lo.beta)
+        elif hi.beta - lo.beta < 1e-15 * max(1.0, hi.beta):
+            break
+        else:
+            beta = 0.5 * (lo.beta + hi.beta)
+        point = _rd_point(source, distortion, beta)
+        if past(point):
+            hi = point
+        else:
+            lo = point
+    _warn(f"{what}: beta bisection stopped at beta in [{lo.beta:.12g}, {hi.beta:.12g}] "
+          f"before its bounds met; bound gap {bound_gap(lo, hi):.3e}")
+    return lo, hi

@@ -245,9 +245,13 @@ VALID_CONFIGS = {
                   "split_grid": 21, "max_iter": 200},
     "simulate": {"model": {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "trials": 100},
 }
-# the mode a field is tried in, where it is not discrete-rd
+# the mode a field is tried in, where it is not discrete-rd; "model.n" is key n of the
+# model generator
 MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "trm-sw",
-                 "waveform": "simulate", "end_to_end": "simulate", "workers": "simulate"}
+                 "waveform": "simulate", "end_to_end": "simulate", "workers": "simulate",
+                 "trials": "simulate", "max_iter": "snr-sweep", "model.seed": "trm-sw",
+                 "model.n": "trm-sw", "model.m_s": "trm-sw", "model.m_c": "trm-sw",
+                 "model.t": "trm-sw"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -265,13 +269,41 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
     ("waveform", [[[1.0, 0.0]]]),
     ("end_to_end", "false"),
     ("workers", 2),
+    ("d_c", float("nan")),
+    ("d_c", float("inf")),
+    ("seed", 1.5),
+    ("trials", 100.9),
+    ("trials", float("inf")),
+    ("split_grid", 21.5),
+    ("max_iter", 200.5),
+    ("model.seed", 2.5),
+    ("model.n", 2.5),
+    ("model.m_s", 2.5),
+    ("model.m_c", 1.5),
+    ("model.t", 4.5),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, field, value):
     mode = MODE_OF_FIELD.get(field, "discrete-rd")
-    payload = {"mode": mode, **VALID_CONFIGS[mode], field: value}
+    payload = {"mode": mode, **VALID_CONFIGS[mode]}
+    if field.startswith("model."):
+        payload["model"] = {**payload["model"], field.removeprefix("model."): value}
+    else:
+        payload[field] = value
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_integral_float_counts_run_as_their_integers(tmp_path):
+    runs = {}
+    for kind in (int, float):
+        out = tmp_path / kind.__name__
+        model = {key: kind(v) for key, v in VALID_CONFIGS["snr-sweep"]["model"].items()}
+        payload = {"mode": "snr-sweep", **VALID_CONFIGS["snr-sweep"], "model": model,
+                   "split_grid": kind(21), "max_iter": kind(200), "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        runs[kind] = (out / "sweep.json").read_bytes()
+    assert runs[int] == runs[float]
 
 
 def test_model_path_that_is_not_a_string_exits_2(tmp_path, capsys):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize_scalar
 
 from cas_limits import (
@@ -32,6 +34,7 @@ from cas_limits.discrete import (
 from helpers import (
     HAMMING,
     binary_sensing_model,
+    bisection_rd_search,
     bsc,
     random_finite_model,
     random_rows,
@@ -440,6 +443,74 @@ def test_wide_rate_distortion_certifies_without_full_reruns(monkeypatch):
     assert abs(rate - mutual_information(src, cond)) < 1e-9
     lower = _rd_dual_lower_bound(src, dist, d_c, src @ cond)
     assert lower - 1e-9 <= rate <= lower + 1e-6
+
+
+def _panel_source(seed, m):
+    """Random source on m letters with a zero-diagonal distortion, like the benchmark's panels."""
+    rng = np.random.default_rng(seed)
+    src = random_rows(rng, (m,))
+    dist = rng.uniform(0.1, 1.0, (m, m))
+    np.fill_diagonal(dist, 0.0)
+    return src, dist
+
+
+@pytest.mark.parametrize("seed, m", [(11, 2), (12, 16), (4, 64)])
+def test_false_position_matches_the_bisection_oracle(monkeypatch, seed, m):
+    src, dist = _panel_source(seed, m)
+    d_c = 0.5 * float((src @ dist).min())
+    rate_target = 0.5 * float(-(src @ np.log(src)))
+
+    points = []
+    rd_point = discrete._rd_point
+
+    def counted(source, distortion, beta):
+        points.append(beta)
+        return rd_point(source, distortion, beta)
+
+    def solve():
+        """(rate, its channel's distortion, inverse distortion), and the beta points per solve."""
+        rate, cond = rate_distortion_discrete(src, dist, d_c)
+        n_rd = len(points)
+        d_back, _ = rate_distortion_inverse(src, dist, rate_target)
+        got = rate, float(np.einsum("i,ij,ij->", src, cond, dist)), d_back
+        return got, [n_rd, len(points) - n_rd]
+
+    def old_search(source, distortion, excess, bound_gap, what):
+        return bisection_rd_search(source, distortion, lambda pt: excess(pt) <= 0.0,
+                                   bound_gap, what)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discrete, "_rd_search", old_search)
+        expected, _ = solve()
+    monkeypatch.setattr(discrete, "_rd_point", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        got, per_solve = solve()
+    assert np.abs(np.subtract(got, expected)).max() < 1e-10, (got, expected)
+    assert max(per_solve) <= 16, per_solve
+
+
+# Panel sources keep the optimal slope inside the beta range _rd_dual_lower_bound
+# searches (log beta in [-3, 6]); an arbitrary distortion matrix can need beta
+# in the thousands, where that bound underflows.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 16), frac=st.floats(0.1, 0.9))
+def test_rate_distortion_meets_the_dual_lower_bound(seed, m, frac):
+    src, dist = _panel_source(seed, m)
+    d_c = frac * float((src @ dist).min())
+    rate, cond = rate_distortion_discrete(src, dist, d_c)
+    lower = _rd_dual_lower_bound(src, dist, d_c, src @ cond)
+    assert lower - 1e-9 <= rate <= lower + 1e-6
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+def test_rd_solvers_reject_non_finite_targets_before_any_slope(monkeypatch, target):
+    monkeypatch.setattr(discrete, "_rd_point", None)
+    src = np.array([0.3, 0.7])
+    with pytest.raises(ValueError, match="must be finite"):
+        rate_distortion_discrete(src, HAMMING, target)
+    with pytest.raises(ValueError, match="must be finite"):
+        rate_distortion_inverse(src, HAMMING, target)
 
 
 def test_newton_polish_readmits_a_screened_coordinate():

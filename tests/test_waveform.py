@@ -8,6 +8,7 @@ import pytest
 
 from cas_limits import (
     GramMatrix,
+    NonFiniteObjective,
     TrmModel,
     channel_mi,
     optimize_isac,
@@ -17,6 +18,7 @@ from cas_limits import (
     sensing_mse,
     sweep_snr,
 )
+from cas_limits import waveform
 from cas_limits.gaussian import gram_spectrum
 from cas_limits.waveform import (
     CONVERGED_STOPS,
@@ -291,12 +293,29 @@ def test_single_point_sweep_equals_direct_calls():
     )
 
 
-def test_sweep_isolates_per_point_failures():
+def test_sweep_isolates_per_point_failures(monkeypatch):
     model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
-    curve = sweep_snr(model, [0.0, 5.0], schemes=("sw", "bogus"), split_grid=11)
+    isac = waveform.optimize_isac
+
+    def fails_at_5db(m, **kwargs):
+        if m.power > 2.0 * model.noise_c:
+            raise NonFiniteObjective("injected")
+        return isac(m, **kwargs)
+
+    monkeypatch.setattr(waveform, "optimize_isac", fails_at_5db)
+    curve = sweep_snr(model, [0.0, 5.0], split_grid=11, max_iter=100)
     assert all(r is not None for r in curve.results["sw"])
-    assert all(r is None for r in curve.results["bogus"])
-    assert all(e is not None for e in curve.errors["bogus"])
+    assert curve.results["isac"][0] is not None and curve.errors["isac"][0] is None
+    assert curve.results["isac"][1] is None
+    assert curve.errors["isac"][1] == "NonFiniteObjective: injected"
+
+
+@pytest.mark.parametrize("schemes", [("sw", "bogus"), ("sw", "sw"), "sw"])
+def test_sweep_rejects_bad_scheme_names_before_the_first_point(schemes):
+    # a failure at a point is recorded, not raised, so a raise comes from the up-front check
+    model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
+    with pytest.raises(ValueError, match="schemes"):
+        sweep_snr(model, [0.0, 5.0], schemes=schemes, split_grid=11)
 
 
 def test_sweep_grid_must_be_sorted():
