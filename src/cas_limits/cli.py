@@ -17,15 +17,7 @@ import sys
 import numpy as np
 
 from . import discrete, simulate, waveform
-from .errors import (
-    CasError,
-    ConfigError,
-    InfeasibleConstraint,
-    NonFiniteObjective,
-    SingularPrior,
-    UnreachableDistortion,
-    ZeroProbabilityObservation,
-)
+from .errors import CasError, ConfigError
 from .gaussian import GramMatrix, TrmModel, channel_mi, random_trm_model, waveform_from_gram
 from .modelio import (
     atomic_write_file,
@@ -46,13 +38,8 @@ MODES = (
     "simulate",
 )
 
-_SOLVER_ERRORS = (
-    InfeasibleConstraint,
-    UnreachableDistortion,
-    SingularPrior,
-    NonFiniteObjective,
-    ZeroProbabilityObservation,
-)
+# keys that name an output file or directory; each must be a string when set
+_PATH_KEYS = ("out_dir", "output", "output_csv", "output_json", "dump_trials")
 
 
 def _rate(value: float, bits: bool) -> float:
@@ -96,9 +83,12 @@ class Config:
         self.mode = mode
         self.data = data
         self.base_dir = base_dir
+        for key in _PATH_KEYS:
+            if data.get(key) is not None and not isinstance(data[key], str):
+                raise ConfigError(f"{key}: must be a path string, got {data[key]!r}")
         self.seed = self.value("seed", _integer, 0)
         self.bits = self.flag("bits", False)
-        self.out_dir = data.get("out_dir", ".")
+        self.out_dir = self.value("out_dir", default=".")
         self.trials = self.value("trials", _integer, 10_000)
         self.grid = self.value("grid", float, 1e-3)
         if self.grid <= 0:
@@ -181,7 +171,7 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
         "d_s": d_s,
         "budget": budget,
     }
-    out = cfg.out_path(cfg.data.get("output", "capacity.json"))
+    out = cfg.out_path(cfg.value("output", default="capacity.json"))
     write_json(payload, out)
     print(f"constrained capacity: {payload['capacity']:.6f} {payload['units']}")
     return [out]
@@ -200,7 +190,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         "d_c": d_c,
         "test_channel": cond.tolist(),
     }
-    out = cfg.out_path(cfg.data.get("output", "rate_distortion.json"))
+    out = cfg.out_path(cfg.value("output", default="rate_distortion.json"))
     write_json(payload, out)
     print(f"rate at d_c={d_c}: {payload['rate']:.6f} {payload['units']}")
     return [out]
@@ -210,7 +200,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
     point = discrete.min_total_distortion(model, cfg.value("budget", float), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
-    out = cfg.out_path(cfg.data.get("output", "tradeoff.json"))
+    out = cfg.out_path(cfg.value("output", default="tradeoff.json"))
     write_json(payload, out)
     print(
         f"min total distortion: {point.d_total:.6f} "
@@ -231,7 +221,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "stop": res.stop,
         "q_star": complex_to_pairs(res.q_star.q),
     }
-    out = cfg.out_path(cfg.data.get("output", "isac_optimize.json"))
+    out = cfg.out_path(cfg.value("output", default="isac_optimize.json"))
     write_json(payload, out)
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
@@ -251,7 +241,7 @@ def _run_trm_sw(cfg: Config) -> list[str]:
         "q_sensing": complex_to_pairs(q_s.q),
         "q_comm": complex_to_pairs(q_c.q),
     }
-    out = cfg.out_path(cfg.data.get("output", "sw_optimize.json"))
+    out = cfg.out_path(cfg.value("output", default="sw_optimize.json"))
     write_json(payload, out)
     print(f"sw optimum: total D={res.point.d_total:.6f} at rho={res.rho:.4f}")
     return [out]
@@ -276,8 +266,8 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
         split_grid=cfg.split_grid(),
         max_iter=cfg.value("max_iter", _integer, waveform.MAX_ITER),
     )
-    out_csv = cfg.out_path(cfg.data.get("output_csv", "sweep.csv"))
-    out_json = cfg.out_path(cfg.data.get("output_json", "sweep.json"))
+    out_csv = cfg.out_path(cfg.value("output_csv", default="sweep.csv"))
+    out_json = cfg.out_path(cfg.value("output_json", default="sweep.json"))
     atomic_write_file(lambda p: waveform.write_curve_csv(curve, p), out_csv)
     waveform.write_curve_json(curve, out_json)
     print(f"{'snr_db':>8} {'scheme':>6} {'d_total':>12} {'converged':>9}")
@@ -326,7 +316,7 @@ def _run_simulate(cfg: Config) -> list[str]:
         )
     else:
         report = simulate.simulate_sensing(model, x, cfg.trials, cfg.seed, dump_path=dump_path)
-    out = cfg.out_path(cfg.data.get("output", "simulation.json"))
+    out = cfg.out_path(cfg.value("output", default="simulation.json"))
     report.to_json(out)
     print(
         f"simulated {cfg.trials} trials: d_s={report.d_s_emp:.6f} "
@@ -406,7 +396,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
+    except CasError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -97,22 +97,6 @@ class FiniteCasModel:
             raise ValueError("cost: entries must be finite and nonnegative")
 
     @property
-    def n_states(self) -> int:
-        return self.state_prior.size
-
-    @property
-    def n_inputs(self) -> int:
-        return self.sensing_law.shape[0]
-
-    @property
-    def n_observations(self) -> int:
-        return self.sensing_law.shape[2]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.comm_law.shape[1]
-
-    @property
     def n_estimates(self) -> int:
         return self.distortion.shape[1]
 
@@ -395,31 +379,6 @@ def constrained_capacity(
     return mutual_information(p, w), InputDistribution(p)
 
 
-def _min_row_distortion(source: np.ndarray, distortion: np.ndarray) -> float:
-    return float(source @ distortion.min(axis=1))
-
-
-def _zero_rate_channel(source: np.ndarray, distortion: np.ndarray):
-    """Constant test channel onto the least-average-distortion column (the d_zero endpoint)."""
-    col_avg = source @ distortion
-    j0 = int(col_avg.argmin())
-    cond = np.zeros_like(distortion)
-    cond[:, j0] = 1.0
-    return cond, float(col_avg[j0])
-
-
-def _deterministic_channel(source: np.ndarray, distortion: np.ndarray):
-    """Lowest-index argmin test channel and its rate (the d_min endpoint)."""
-    m, n = distortion.shape
-    idx = distortion.argmin(axis=1)
-    cond = np.zeros((m, n))
-    cond[np.arange(m), idx] = 1.0
-    q = source @ cond
-    active = q > 0
-    rate = float(-(q[active] @ np.log(q[active])))
-    return cond, rate
-
-
 @dataclass(frozen=True)
 class _RdPoint:
     """One point of a rate-distortion search at slope parameter beta.
@@ -439,11 +398,42 @@ class _RdPoint:
         return -math.inf if math.isinf(self.beta) else self.lower - self.beta * d
 
 
+def _rd_ends(source: np.ndarray, distortion: np.ndarray) -> tuple[_RdPoint, _RdPoint]:
+    """The two ends of the R(D) curve, as (zero-rate point, minimum-distortion point).
+
+    At beta = 0 the test channel sends every letter to the column of least
+    average distortion (distortion d_zero, rate 0). At beta = inf each
+    letter goes to its lowest-index cheapest column (distortion d_min); the
+    rate is the entropy of the output law that channel induces, the most
+    any point of the curve needs.
+    """
+    col_avg = source @ distortion
+    j0 = int(col_avg.argmin())
+    cond_zero = np.zeros_like(distortion)
+    cond_zero[:, j0] = 1.0
+    cond_min = np.zeros(distortion.shape)
+    cond_min[np.arange(distortion.shape[0]), distortion.argmin(axis=1)] = 1.0
+    q = source @ cond_min
+    q = q[q > 0]
+    return (
+        _RdPoint(0.0, cond_zero, 0.0, float(col_avg[j0]), 0.0),
+        _RdPoint(math.inf, cond_min, float(-(q @ np.log(q))),
+                 float(source @ distortion.min(axis=1)), -math.inf),
+    )
+
+
 def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoint:
-    """Certified Blahut-Arimoto point of the R(D) curve at slope -beta."""
+    """Certified Blahut-Arimoto point of the R(D) curve at slope -beta.
+
+    ``a`` is shifted per row as in ``ba_rate_distortion``, so the oracle's
+    value is the dual objective less beta * (p @ min_j d); the tangent adds
+    that back.
+    """
     active = source > 0.0
     pa = source[active]
-    a = np.exp(-beta * distortion[active])
+    da = distortion[active]
+    row_min = da.min(axis=1)
+    a = np.exp(-beta * (da - row_min[:, None]))
 
     def oracle(q):
         c = a @ q + _LOG_FLOOR
@@ -463,32 +453,27 @@ def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoi
         kernel, polish, RD_BA_TOL, f"rate-distortion at beta={beta:.12g}"
     )
     value, grad, _ = oracle(source @ cond)
-    lower = -value - math.log(max(float(grad.max()), _LOG_FLOOR))
+    lower = -value - math.log(max(float(grad.max()), _LOG_FLOOR)) + beta * float(pa @ row_min)
     return _RdPoint(beta, cond, rate, dist, lower)
 
 
-def _rd_search(source, distortion, excess, bound_gap, what: str):
+def _rd_search(source, distortion, lo, hi, excess, bound_gap, what: str):
     """Bracket a target on the R(D) curve by safeguarded false position on the slope beta.
 
     ``excess(point)``, the signed distance of a point from the target, is
     positive at the low-beta end ``lo`` of the bracket and at most zero at
-    the high-beta end ``hi``; they start at the zero-rate point (beta = 0)
-    and the minimum-distortion point (beta = inf), and beta doubles from 1
-    until a point is past the target. Inside a finite bracket the next beta
-    is the Illinois false-position step on the excess (Dowell and Jarratt,
-    BIT 11, 1971), or the midpoint when that step is not strictly inside
-    the bracket or the bracket has not halved over the last two steps. The
-    search stops once ``bound_gap(lo, hi)``, the distance between an
-    achievable upper bound and a certified lower bound at the target, is
-    below RD_TOL, which on a straight segment of the curve happens as soon
-    as lo and hi sit on it. Returns (lo, hi).
+    the high-beta end ``hi``; the caller starts them at the two ends from
+    ``_rd_ends``, the zero-rate point (beta = 0) and the minimum-distortion
+    point (beta = inf), and beta doubles from 1 until a point is past the
+    target. Inside a finite bracket the next beta is the Illinois
+    false-position step on the excess (Dowell and Jarratt, BIT 11, 1971),
+    or the midpoint when that step is not strictly inside the bracket or
+    the bracket has not halved over the last two steps. The search stops
+    once ``bound_gap(lo, hi)``, the distance between an achievable upper
+    bound and a certified lower bound at the target, is below RD_TOL, which
+    on a straight segment of the curve happens as soon as lo and hi sit on
+    it. Returns (lo, hi).
     """
-    cond_zero, d_zero = _zero_rate_channel(source, distortion)
-    lo = _RdPoint(0.0, cond_zero, 0.0, d_zero, 0.0)
-    cond_min, rate_max = _deterministic_channel(source, distortion)
-    hi = _RdPoint(
-        math.inf, cond_min, rate_max, _min_row_distortion(source, distortion), -math.inf
-    )
     f_lo, f_hi = excess(lo), excess(hi)
     kept = None                       # the end the last step kept, for the Illinois halving
     widths = [math.inf, math.inf]     # bracket widths before the last two steps
@@ -555,17 +540,13 @@ def rate_distortion_discrete(
     if d_c < 0:
         raise UnreachableDistortion(f"d_c={d_c} is negative")
 
-    d_min = _min_row_distortion(source, distortion)
-    if d_c < d_min - 1e-12:
-        raise UnreachableDistortion(f"d_c={d_c} below minimum achievable distortion {d_min}")
-
-    cond_zero, d_zero = _zero_rate_channel(source, distortion)
-    if d_c >= d_zero - 1e-12:
-        return 0.0, cond_zero
-
-    if d_c <= d_min + 1e-12:
-        cond, rate = _deterministic_channel(source, distortion)
-        return rate, cond
+    lo, hi = _rd_ends(source, distortion)
+    if d_c < hi.dist - 1e-12:
+        raise UnreachableDistortion(f"d_c={d_c} below minimum achievable distortion {hi.dist}")
+    if d_c >= lo.dist - 1e-12:
+        return 0.0, lo.cond
+    if d_c <= hi.dist + 1e-12:
+        return hi.rate, hi.cond
 
     def weight(lo, hi):
         """Time-sharing weight on hi that meets distortion d_c."""
@@ -577,7 +558,7 @@ def rate_distortion_discrete(
         return upper - max(lo.tangent(d_c), hi.tangent(d_c))
 
     lo, hi = _rd_search(
-        source, distortion, lambda pt: pt.dist - d_c, bound_gap,
+        source, distortion, lo, hi, lambda pt: pt.dist - d_c, bound_gap,
         f"rate_distortion_discrete at d_c={d_c:.12g}",
     )
     theta = weight(lo, hi)
@@ -600,13 +581,12 @@ def rate_distortion_inverse(
     source, distortion = _rd_inputs(source, distortion)
     if not math.isfinite(rate):
         raise ValueError(f"rate: must be finite, got {rate!r}")
-    _, d_zero = _zero_rate_channel(source, distortion)
+    lo, hi = _rd_ends(source, distortion)
     if rate <= 0.0:
-        return d_zero, 0.0
-    d_min = _min_row_distortion(source, distortion)
-    _, rate_max = _deterministic_channel(source, distortion)
-    if rate >= rate_max - 1e-12:
-        return d_min, rate_max
+        return lo.dist, 0.0
+    d_min = hi.dist
+    if rate >= hi.rate - 1e-12:
+        return d_min, hi.rate
 
     def achievable(lo, hi):
         theta = (rate - lo.rate) / (hi.rate - lo.rate)
@@ -620,57 +600,49 @@ def rate_distortion_inverse(
         return achievable(lo, hi) - lower
 
     lo, hi = _rd_search(
-        source, distortion, lambda pt: rate - pt.rate, bound_gap,
+        source, distortion, lo, hi, lambda pt: rate - pt.rate, bound_gap,
         f"rate_distortion_inverse at rate={rate:.12g}",
     )
     return max(d_min, float(achievable(lo, hi))), rate
 
 
-def _comm_distortion(model: FiniteCasModel, comm_distortion) -> np.ndarray:
-    """``comm_distortion``, defaulting to the model's distortion matrix when that is square."""
-    if comm_distortion is not None:
-        return comm_distortion
+def _square_distortion(model: FiniteCasModel) -> np.ndarray:
+    """The model's distortion matrix, which must be square to serve the estimate as source."""
     if model.distortion.shape[0] != model.distortion.shape[1]:
-        raise ValueError("model distortion is not square; pass comm_distortion explicitly")
+        raise ValueError("model distortion is not square: the estimate alphabet must "
+                         "double as the reconstruction alphabet")
     return model.distortion
 
 
 def theorem1_feasible(
-    model: FiniteCasModel,
-    d_s: float,
-    d_c: float,
-    budget: float,
-    comm_distortion: np.ndarray | None = None,
+    model: FiniteCasModel, d_s: float, d_c: float, budget: float
 ) -> Theorem1Result:
     """Check whether (d_s, d_c, budget) is an achievable operating point.
 
     Computes the constrained capacity, induces the estimate marginal from
     the capacity-achieving input law, and compares against the source rate
-    needed at d_c. ``comm_distortion`` defaults to the model's distortion
-    matrix (the estimate alphabet doubles as the reconstruction alphabet).
+    needed at d_c. The estimate alphabet doubles as the reconstruction
+    alphabet, so the model's distortion matrix, which must be square, is
+    the communication distortion too; a non-square one raises ValueError.
     """
-    comm_distortion = _comm_distortion(model, comm_distortion)
+    distortion = _square_distortion(model)
     capacity, px = constrained_capacity(model, d_s, budget)
     source = induced_estimate_marginal(model, px.probs)
-    rate, _ = rate_distortion_discrete(source, comm_distortion, d_c)
+    rate, _ = rate_distortion_discrete(source, distortion, d_c)
     margin = capacity - rate
     return Theorem1Result(feasible=margin >= 0.0, margin=margin, capacity=capacity, rate=rate)
 
 
-def min_total_distortion(
-    model: FiniteCasModel,
-    budget: float,
-    grid: float = 1e-3,
-    comm_distortion: np.ndarray | None = None,
-) -> TradeoffPoint:
+def min_total_distortion(model: FiniteCasModel, budget: float, grid: float = 1e-3) -> TradeoffPoint:
     """Minimize D_s + D_c over the sensing-distortion split at fixed budget.
 
     Sweeps the estimation-distortion bound over [min e, max e] at the given
     resolution; at each bound the communication distortion is the inverse
-    rate-distortion evaluated at the constrained capacity. Deterministic
-    for a fixed grid.
+    rate-distortion, under the model's distortion matrix (which must be
+    square, as in ``theorem1_feasible``), evaluated at the constrained
+    capacity. Deterministic for a fixed grid.
     """
-    comm_distortion = _comm_distortion(model, comm_distortion)
+    distortion = _square_distortion(model)
     e = estimate_costs(model)
     lo, hi = float(e.min()), float(e.max())
     if budget < model.cost.min() - SLACK_TOL:
@@ -687,7 +659,7 @@ def min_total_distortion(
         except InfeasibleConstraint:
             continue
         source = induced_estimate_marginal(model, px.probs)
-        d_c, rate_used = rate_distortion_inverse(source, comm_distortion, capacity)
+        d_c, rate_used = rate_distortion_inverse(source, distortion, capacity)
         d_s_achieved = float(px.probs @ e)
         point = TradeoffPoint(
             d_s=d_s_achieved,

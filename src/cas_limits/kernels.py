@@ -38,6 +38,10 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
     Minimizes I + beta * E[d] over test channels for source p and
     distortion matrix d[i, j]. Zero-mass source rows are excluded from
     the iteration and returned as point masses on their cheapest column.
+    Each row is shifted by its least distortion before the exponential,
+    a = exp(-beta * (d - min_j d)), so that every row of ``a`` keeps an
+    entry of 1 however large beta is; the shift scales a row and leaves
+    the update and the test channel unchanged.
 
     Returns (cond, rate, dist, iterations) with cond[i, j] = P(j | i).
     """
@@ -46,7 +50,8 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
     n = d.shape[1]
     active = p > 0.0
     pa = p[active]
-    a = np.exp(-beta * d[active])
+    da = d[active]
+    a = np.exp(-beta * (da - da.min(axis=1, keepdims=True)))
     q = np.full(n, 1.0 / n)
     it = 0
     for it in range(1, max_iter + 1):
@@ -62,18 +67,22 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
 def rd_channel(p, d, beta, a, q):
     """Test channel that the output law q induces at slope parameter beta.
 
-    ``a`` is exp(-beta * d) on the rows where p > 0. Zero-mass source rows
-    are point masses on their cheapest column.
+    ``a`` is exp(-beta * (d - min_j d)) on the rows where p > 0, each row
+    shifted by its least distortion as in ``ba_rate_distortion``.
+    Zero-mass source rows are point masses on their cheapest column.
 
     Returns (cond, rate, dist) with cond[i, j] = P(j | i).
     """
     active = p > 0.0
     pa = p[active]
+    da = d[active]
     c = a @ q
     cond_a = q[None, :] * a / (c[:, None] + _LOG_FLOOR)
-    dist = float(np.einsum("i,ij,ij->", pa, cond_a, d[active]))
-    # log(cond/q) = -beta*d - log(c), so I = -beta*dist - sum_i p_i log c_i
-    rate = max(0.0, float(-beta * dist - pa @ np.log(c + _LOG_FLOOR)))
+    dist = float(np.einsum("i,ij,ij->", pa, cond_a, da))
+    # log(cond/q) = -beta*(d - min_j d) - log(c), so
+    # I = -beta*E[d - min_j d] - sum_i p_i log c_i
+    excess = dist - float(pa @ da.min(axis=1))
+    rate = max(0.0, float(-beta * excess - pa @ np.log(c + _LOG_FLOOR)))
     cond = np.zeros(d.shape)
     cond[active] = cond_a
     idle = np.flatnonzero(~active)

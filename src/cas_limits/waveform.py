@@ -362,38 +362,25 @@ def sweep_snr(
 
 def curve_rows(curve: SweepCurve) -> list[dict]:
     """Flatten a sweep into CSV-schema rows (one per SNR point and scheme)."""
+    nan = float("nan")
     rows = []
     for i, snr in enumerate(curve.snr_db):
         for scheme, res_list in curve.results.items():
             res = res_list[i]
-            if res is None:
-                rows.append(
-                    {
-                        "snr_db": snr,
-                        "scheme": scheme,
-                        "d_s": float("nan"),
-                        "d_c": float("nan"),
-                        "d_total": float("nan"),
-                        "rate_nats": float("nan"),
-                        "mi_nats": float("nan"),
-                        "trace_used": float("nan"),
-                        "converged": False,
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "snr_db": snr,
-                        "scheme": scheme,
-                        "d_s": res.point.d_s,
-                        "d_c": res.point.d_c,
-                        "d_total": res.point.d_total,
-                        "rate_nats": res.point.rate,
-                        "mi_nats": res.point.capacity,
-                        "trace_used": res.trace_used,
-                        "converged": res.converged,
-                    }
-                )
+            point = None if res is None else res.point
+            rows.append(
+                {
+                    "snr_db": snr,
+                    "scheme": scheme,
+                    "d_s": nan if point is None else point.d_s,
+                    "d_c": nan if point is None else point.d_c,
+                    "d_total": nan if point is None else point.d_total,
+                    "rate_nats": nan if point is None else point.rate,
+                    "mi_nats": nan if point is None else point.capacity,
+                    "trace_used": nan if res is None else res.trace_used,
+                    "converged": res is not None and res.converged,
+                }
+            )
     return rows
 
 

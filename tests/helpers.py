@@ -11,12 +11,8 @@ from cas_limits.discrete import (
     RD_TOL,
     _BETA_CAP,
     _BISECT_STEPS,
-    _RdPoint,
-    _deterministic_channel,
-    _min_row_distortion,
     _rd_point,
     _warn,
-    _zero_rate_channel,
 )
 from cas_limits.gaussian import (
     RANK_RTOL,
@@ -274,27 +270,22 @@ def serial_run_chain(
 
 
 # The slope search the R(D) solvers used before false position: plain
-# bisection inside a finite bracket. Kept unchanged as the oracle whose
-# answers the new search must reproduce. ``past(point)`` is
-# ``excess(point) <= 0`` for the new search's ``excess``.
-def bisection_rd_search(source, distortion, past, bound_gap, what: str):
+# bisection inside a finite bracket. Kept as the oracle whose answers the
+# new search must reproduce; like the new search, it takes its two starting
+# ends from the caller. ``past(point)`` is ``excess(point) <= 0`` for the
+# new search's ``excess``.
+def bisection_rd_search(source, distortion, lo, hi, past, bound_gap, what: str):
     """Bracket a target on the R(D) curve by bisection on the slope beta.
 
     ``past(point)`` is False at the low-beta end ``lo`` of the bracket and
-    True at the high-beta end ``hi``; they start at the zero-rate point
-    (beta = 0) and the minimum-distortion point (beta = inf), and beta
-    doubles from 1 until a point is past the target. The search stops once
-    ``bound_gap(lo, hi)``, the distance between an achievable upper bound
-    and a certified lower bound at the target, is below RD_TOL, which on a
-    straight segment of the curve happens as soon as lo and hi sit on it.
-    Returns (lo, hi).
+    True at the high-beta end ``hi``; they start at the two ends from
+    ``_rd_ends``, the zero-rate point (beta = 0) and the minimum-distortion
+    point (beta = inf), and beta doubles from 1 until a point is past the
+    target. The search stops once ``bound_gap(lo, hi)``, the distance
+    between an achievable upper bound and a certified lower bound at the
+    target, is below RD_TOL, which on a straight segment of the curve
+    happens as soon as lo and hi sit on it. Returns (lo, hi).
     """
-    cond_zero, d_zero = _zero_rate_channel(source, distortion)
-    lo = _RdPoint(0.0, cond_zero, 0.0, d_zero, 0.0)
-    cond_min, rate_max = _deterministic_channel(source, distortion)
-    hi = _RdPoint(
-        math.inf, cond_min, rate_max, _min_row_distortion(source, distortion), -math.inf
-    )
     for _ in range(_BISECT_STEPS):
         if bound_gap(lo, hi) < RD_TOL:
             return lo, hi

@@ -251,7 +251,8 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
                  "waveform": "simulate", "end_to_end": "simulate", "workers": "simulate",
                  "trials": "simulate", "max_iter": "snr-sweep", "model.seed": "trm-sw",
                  "model.n": "trm-sw", "model.m_s": "trm-sw", "model.m_c": "trm-sw",
-                 "model.t": "trm-sw"}
+                 "model.t": "trm-sw", "dump_trials": "simulate", "output_csv": "snr-sweep",
+                 "output_json": "snr-sweep"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -281,6 +282,11 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
     ("model.m_s", 2.5),
     ("model.m_c", 1.5),
     ("model.t", 4.5),
+    ("output", 5),
+    ("out_dir", 5),
+    ("dump_trials", 7),
+    ("output_csv", ["sweep.csv"]),
+    ("output_json", ["sweep.json"]),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, field, value):
     mode = MODE_OF_FIELD.get(field, "discrete-rd")

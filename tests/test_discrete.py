@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize_scalar
+from scipy.special import logsumexp
 
 from cas_limits import (
     ConvergenceWarning,
@@ -401,14 +402,19 @@ def _rd_dual_lower_bound(src, dist, d_c, q):
 
     For every beta >= 0, with c_i = sum_j q_j exp(-beta d_ij),
     R(d_c) >= -beta d_c - sum_i p_i log c_i - log max_j sum_i p_i exp(-beta d_ij) / c_i.
+    Both sums are taken in the log domain, so that log beta can range over
+    [-8, 12] without c underflowing.
     """
+    active = src > 0
+    p, d = src[active], dist[active]
+
     def bound(log_beta):
         beta = np.exp(log_beta)
-        a = np.exp(-beta * dist)
-        c = a @ q
-        return -beta * d_c - src @ np.log(c) - np.log(((src / c) @ a).max())
+        log_c = logsumexp(-beta * d, b=q, axis=1)
+        log_lam = logsumexp((np.log(p) - log_c)[:, None] - beta * d, axis=0)
+        return -beta * d_c - p @ log_c - log_lam.max()
 
-    grid = np.linspace(-3.0, 6.0, 91)
+    grid = np.linspace(-8.0, 12.0, 201)
     k = int(np.argmax([bound(t) for t in grid]))
     res = minimize_scalar(
         lambda t: -bound(t), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
@@ -475,8 +481,8 @@ def test_false_position_matches_the_bisection_oracle(monkeypatch, seed, m):
         got = rate, float(np.einsum("i,ij,ij->", src, cond, dist)), d_back
         return got, [n_rd, len(points) - n_rd]
 
-    def old_search(source, distortion, excess, bound_gap, what):
-        return bisection_rd_search(source, distortion, lambda pt: excess(pt) <= 0.0,
+    def old_search(source, distortion, lo, hi, excess, bound_gap, what):
+        return bisection_rd_search(source, distortion, lo, hi, lambda pt: excess(pt) <= 0.0,
                                    bound_gap, what)
 
     with monkeypatch.context() as patch:
@@ -490,15 +496,35 @@ def test_false_position_matches_the_bisection_oracle(monkeypatch, seed, m):
     assert max(per_solve) <= 16, per_solve
 
 
-# Panel sources keep the optimal slope inside the beta range _rd_dual_lower_bound
-# searches (log beta in [-3, 6]); an arbitrary distortion matrix can need beta
-# in the thousands, where that bound underflows.
+# Panel sources, like the benchmark's; test_rd_survives_a_slope_past_exp_underflow
+# checks the same bound on an arbitrary distortion matrix.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 16), frac=st.floats(0.1, 0.9))
 def test_rate_distortion_meets_the_dual_lower_bound(seed, m, frac):
     src, dist = _panel_source(seed, m)
     d_c = frac * float((src @ dist).min())
     rate, cond = rate_distortion_discrete(src, dist, d_c)
+    lower = _rd_dual_lower_bound(src, dist, d_c, src @ cond)
+    assert lower - 1e-9 <= rate <= lower + 1e-6
+
+
+def test_rd_survives_a_slope_past_exp_underflow():
+    # A 4-letter source with an arbitrary distortion matrix whose answer sits
+    # at beta near 1,288. Row 0's least distortion is 0.53, so exp(-beta * d)
+    # is below 1e-295 on all of that row and the 1e-300 floor added to its sum
+    # is no longer negligible. Unshifted, that row of the test channel summed
+    # to 0.9973 and the rate (7.8e-4) was not the channel's mutual information
+    # (1.6e-9).
+    rng = np.random.default_rng(1215)
+    m = int(rng.integers(2, 13))
+    src = rng.gamma(0.5, 1, m) + 1e-4
+    src /= src.sum()
+    dist = rng.uniform(0, 1, (m, m))
+    d_min, d_zero = float(src @ dist.min(axis=1)), float((src @ dist).min())
+    d_c = d_min + rng.uniform(0.01, 0.99) * (d_zero - d_min)
+    rate, cond = rate_distortion_discrete(src, dist, d_c)
+    assert np.abs(cond.sum(axis=1) - 1.0).max() < 1e-12
+    assert abs(rate - mutual_information(src, cond)) < 1e-9
     lower = _rd_dual_lower_bound(src, dist, d_c, src @ cond)
     assert lower - 1e-9 <= rate <= lower + 1e-6
 
@@ -652,6 +678,22 @@ def test_model_validation_rejects_bad_inputs():
         )
     with pytest.raises(ValueError):
         rate_distortion_discrete(np.array([0.5, 0.5]), np.array([[0.0], [1.0], [2.0]]), 0.1)
+
+
+def test_non_square_distortion_is_refused():
+    # three estimates for two states: the estimate cannot be the source of a
+    # rate-distortion problem over the same matrix
+    model = FiniteCasModel(
+        state_prior=[0.5, 0.5],
+        sensing_law=np.stack([bsc(0.1)] * 2),
+        comm_law=np.eye(2),
+        distortion=[[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]],
+        cost=[0.0, 0.0],
+    )
+    with pytest.raises(ValueError, match="not square"):
+        theorem1_feasible(model, d_s=1.0, d_c=0.2, budget=1.0)
+    with pytest.raises(ValueError, match="not square"):
+        min_total_distortion(model, budget=1.0, grid=1e-2)
 
 
 def test_mutual_information_basics():
