@@ -31,7 +31,6 @@ from .errors import (
 from .gaussian import (
     GramMatrix,
     RwfResult,
-    Spectrum,
     TrmModel,
     channel_mi,
     estimate_covariance,
@@ -63,7 +62,6 @@ __all__ = [
     "RwfResult",
     "SimReport",
     "SingularPrior",
-    "Spectrum",
     "SweepCurve",
     "Theorem1Result",
     "TradeoffPoint",

@@ -90,9 +90,9 @@ class Config:
         self.bits = self.flag("bits", False)
         self.out_dir = self.value("out_dir", default=".")
         self.trials = self.value("trials", _integer, 10_000)
-        self.grid = self.value("grid", float, 1e-3)
+        self.grid = self.value("grid", _finite, 1e-3)
         if self.grid <= 0:
-            raise ConfigError("grid must be positive")
+            raise ConfigError(f"grid: must be positive, got {self.grid!r}")
 
     def value(self, name: str, kind=None, default=None):
         """Field ``name``, converted by ``kind`` if given; required when there is no default."""
@@ -143,9 +143,9 @@ class Config:
                     m_s=field("m_s", _integer, 4),
                     m_c=field("m_c", _integer, 4),
                     t=field("t", _integer, 16),
-                    power=field("power", float, 1.0),
-                    noise_s=field("noise_s", float, 1.0),
-                    noise_c=field("noise_c", float, 1.0),
+                    power=field("power", _finite, 1.0),
+                    noise_s=field("noise_s", _finite, 1.0),
+                    noise_c=field("noise_c", _finite, 1.0),
                 )
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model generator: {exc}") from exc
@@ -162,7 +162,7 @@ def _point_payload(point, bits: bool) -> dict:
 
 def _run_discrete_capacity(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
-    d_s, budget = cfg.value("d_s", float), cfg.value("budget", float)
+    d_s, budget = cfg.value("d_s", _finite), cfg.value("budget", _finite)
     capacity, px = discrete.constrained_capacity(model, d_s, budget)
     payload = {
         "capacity": _rate(capacity, cfg.bits),
@@ -198,7 +198,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
 
 def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
-    point = discrete.min_total_distortion(model, cfg.value("budget", float), grid=cfg.grid)
+    point = discrete.min_total_distortion(model, cfg.value("budget", _finite), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.value("output", default="tradeoff.json"))
     write_json(payload, out)
@@ -296,8 +296,9 @@ def _run_simulate(cfg: Config) -> list[str]:
         q = (model.trace_budget / model.n) * np.eye(model.n)
         x = waveform_from_gram(model, q)
     elif wf_spec == "isac-optimal":
-        res = waveform.optimize_isac(model, max_iter=cfg.value("max_iter", _integer, 500))
-        x = waveform_from_gram(model, res.q_star)
+        max_iter = cfg.value("max_iter", _integer, waveform.MAX_ITER)
+        res = waveform.optimize_isac(model, max_iter=max_iter)
+        x = waveform_from_gram(model, res.q_star.q)
     elif isinstance(wf_spec, list):
         x = pairs_to_complex(wf_spec, "waveform")
         if x.shape != (model.n, model.t):
@@ -310,7 +311,7 @@ def _run_simulate(cfg: Config) -> list[str]:
     dump_path = cfg.out_path(dump) if dump else None
     if end_to_end:
         if rate_budget == "mi":
-            rate_budget = channel_mi(model, GramMatrix(x @ x.conj().T))
+            rate_budget = channel_mi(model, GramMatrix(x @ x.conj().T).q)
         report = simulate.simulate_end_to_end(
             model, x, rate_budget, cfg.trials, cfg.seed, dump_path=dump_path,
         )

@@ -335,8 +335,12 @@ def constrained_capacity(
     feasible point on the segment from a vertex of the feasible set to that
     law, with the constraints held to rounding, and certifies its answer by
     a Lagrangian gap below BA_TOL or raises a ConvergenceWarning. Limits at
-    most SLACK_TOL below what every input law costs are raised to it.
+    most SLACK_TOL below what every input law costs are raised to it. A
+    non-finite limit raises ValueError.
     """
+    for name, limit in (("d_s", d_s), ("budget", budget)):
+        if not math.isfinite(limit):
+            raise ValueError(f"{name} must be finite, got {limit!r}")
     w = model.comm_law
     rows = np.vstack([estimate_costs(model), model.cost])
     limits = np.array([d_s, budget], dtype=np.float64)
@@ -640,8 +644,11 @@ def min_total_distortion(model: FiniteCasModel, budget: float, grid: float = 1e-
     resolution; at each bound the communication distortion is the inverse
     rate-distortion, under the model's distortion matrix (which must be
     square, as in ``theorem1_feasible``), evaluated at the constrained
-    capacity. Deterministic for a fixed grid.
+    capacity. Deterministic for a fixed grid, which must be positive and
+    finite.
     """
+    if not 0 < grid < math.inf:
+        raise ValueError(f"grid must be positive and finite, got {grid!r}")
     distortion = _square_distortion(model)
     e = estimate_costs(model)
     lo, hi = float(e.min()), float(e.max())

@@ -53,10 +53,12 @@ class TrmModel:
 
     sigma_s : (N, N) Hermitian PSD covariance of each column of the TRM.
     h_c : (M_c, N) communication channel matrix.
-    noise_s, noise_c : per-entry noise powers (> 0).
+    noise_s, noise_c : per-entry noise powers (finite, > 0).
     t : number of transmit symbols (T >= N).
     m_s : number of sensing receive antennas.
-    power : total power budget P_T; the Gram trace is capped at T * P_T.
+    power : total power budget P_T (finite, > 0); the Gram trace is capped at T * P_T.
+
+    A non-finite entry anywhere raises ValueError.
     """
 
     sigma_s: np.ndarray
@@ -68,22 +70,24 @@ class TrmModel:
     power: float
 
     def __post_init__(self):
-        sigma = _check_hermitian(_as_complex(self.sigma_s), "sigma_s")
-        sigma = _clip_psd(sigma, "sigma_s")
+        sigma, h_c = _as_complex(self.sigma_s), _as_complex(self.h_c)
+        if not (np.isfinite(sigma).all() and np.isfinite(h_c).all()):
+            raise ValueError("sigma_s and h_c must be finite")
+        sigma = _clip_psd(_check_hermitian(sigma, "sigma_s"), "sigma_s")
         object.__setattr__(self, "sigma_s", sigma)
-        object.__setattr__(self, "h_c", _as_complex(self.h_c))
+        object.__setattr__(self, "h_c", h_c)
         if self.sigma_s.ndim != 2 or self.sigma_s.shape[0] != self.sigma_s.shape[1]:
             raise ValueError("sigma_s: expected a square matrix")
         if self.h_c.ndim != 2 or self.h_c.shape[1] != self.sigma_s.shape[0]:
             raise ValueError("h_c: column count must match sigma_s dimension")
-        if self.noise_s <= 0 or self.noise_c <= 0:
-            raise ValueError("noise powers must be positive")
+        if not (0 < self.noise_s < np.inf and 0 < self.noise_c < np.inf):
+            raise ValueError("noise powers must be positive and finite")
         if self.t < self.sigma_s.shape[0]:
             raise ValueError("t must be at least the number of transmit antennas")
         if self.m_s < 1:
             raise ValueError("m_s must be at least 1")
-        if self.power <= 0:
-            raise ValueError("power budget must be positive")
+        if not 0 < self.power < np.inf:
+            raise ValueError("power budget must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -120,22 +124,6 @@ class GramMatrix:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of the estimate covariance, multiplicity-expanded, descending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if np.any(vals < -1e-12):
-            raise ValueError("eigenvalues must be nonnegative")
-        vals = np.maximum(vals, 0.0)
-        if np.any(np.diff(vals) > 1e-12):
-            vals = np.sort(vals)[::-1]
-        object.__setattr__(self, "eigenvalues", vals)
-
-
-@dataclass(frozen=True)
 class RwfResult:
     """Reverse water-filling allocation for a Gaussian source spectrum."""
 
@@ -145,18 +133,14 @@ class RwfResult:
     rate: float
 
 
-def _gram_array(q) -> np.ndarray:
-    return q.q if isinstance(q, GramMatrix) else _as_complex(q)
-
-
-def _error_covariance(model: TrmModel, q) -> np.ndarray:
+def _error_covariance(model: TrmModel, q: np.ndarray) -> np.ndarray:
     """Per-block MMSE error covariance Sigma (scale Q Sigma + I)^-1, scale = T / sigma_s^2."""
     scale = model.t / model.noise_s
-    a = scale * _gram_array(q) @ model.sigma_s + np.eye(model.n)
+    a = scale * q @ model.sigma_s + np.eye(model.n)
     return np.linalg.solve(a.T, model.sigma_s.T).T
 
 
-def sensing_mse(model: TrmModel, q) -> float:
+def sensing_mse(model: TrmModel, q: np.ndarray) -> float:
     """MSE of the MMSE estimate of the vectorized TRM for Gram matrix q.
 
     Uses the inverse-free form M_s Tr[Sigma (scale Q Sigma + I)^-1] with
@@ -166,19 +150,18 @@ def sensing_mse(model: TrmModel, q) -> float:
     return float(model.m_s * np.real(np.trace(_error_covariance(model, q))))
 
 
-def sensing_mse_direct(model: TrmModel, q) -> float:
+def sensing_mse_direct(model: TrmModel, q: np.ndarray) -> float:
     """Printed-form sensing MSE M_s Tr[(scale Q + Sigma^-1)^-1].
 
     Raises SingularPrior when the prior covariance is rank-deficient; kept
     alongside the inverse-free form as a cross-check.
     """
-    qa = _gram_array(q)
     vals = np.linalg.eigvalsh(model.sigma_s)
     if vals.min() <= RANK_RTOL * max(vals.max(), 1e-300):
         raise SingularPrior("sigma_s is rank-deficient; use sensing_mse instead")
     scale = model.t / model.noise_s
     inv_sigma = np.linalg.inv(model.sigma_s)
-    return float(model.m_s * np.real(np.trace(np.linalg.inv(scale * qa + inv_sigma))))
+    return float(model.m_s * np.real(np.trace(np.linalg.inv(scale * q + inv_sigma))))
 
 
 def mmse_filter(model: TrmModel, x: np.ndarray) -> np.ndarray:
@@ -200,29 +183,32 @@ def _block_covariance_from_waveform(model: TrmModel, x: np.ndarray) -> np.ndarra
     return 0.5 * (block + block.conj().T)
 
 
-def _block_covariance_from_gram(model: TrmModel, q) -> np.ndarray:
+def _block_covariance_from_gram(model: TrmModel, q: np.ndarray) -> np.ndarray:
     """Per-block estimate covariance Sigma - (scale Q + Sigma^-1)^-1 from Q."""
     block = model.sigma_s - _error_covariance(model, q)
     return 0.5 * (block + block.conj().T)
 
 
-def _expanded_spectrum(model: TrmModel, block: np.ndarray) -> Spectrum:
-    vals = np.linalg.eigvalsh(block)[::-1]
-    vals = np.maximum(vals, 0.0)
-    return Spectrum(np.repeat(vals, model.m_s))
+def _expanded_spectrum(model: TrmModel, block: np.ndarray) -> np.ndarray:
+    return np.repeat(np.maximum(np.linalg.eigvalsh(block)[::-1], 0.0), model.m_s)
 
 
-def estimate_covariance(model: TrmModel, x: np.ndarray) -> Spectrum:
+def estimate_covariance(model: TrmModel, x: np.ndarray) -> np.ndarray:
     """Spectrum of the estimate covariance for waveform x (N x T).
 
-    Each per-block eigenvalue is repeated M_s times (Kronecker structure of
-    the full covariance).
+    Returns the N M_s eigenvalues of the full covariance, clipped at 0 and
+    in descending order: each per-block eigenvalue is repeated M_s times
+    (Kronecker structure of the full covariance).
     """
     return _expanded_spectrum(model, _block_covariance_from_waveform(model, x))
 
 
-def gram_spectrum(model: TrmModel, q) -> Spectrum:
-    """Estimate-covariance spectrum computed directly from the Gram matrix."""
+def gram_spectrum(model: TrmModel, q: np.ndarray) -> np.ndarray:
+    """Estimate-covariance spectrum computed directly from the Gram matrix q.
+
+    The same array as ``estimate_covariance`` returns for any waveform with
+    Gram q: N M_s eigenvalues, clipped at 0, descending.
+    """
     return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
 
 
@@ -237,19 +223,18 @@ def water_level(floors: np.ndarray, total: float) -> float:
     return float(levels[np.flatnonzero(levels >= floors)[-1]])
 
 
-def reverse_waterfill(spectrum, rate_budget: float) -> RwfResult:
+def reverse_waterfill(spectrum: np.ndarray, rate_budget: float) -> RwfResult:
     """Distortion-minimizing rate allocation over Gaussian source modes.
 
-    The water level xi makes sum_i log(lambda_i / min(lambda_i, xi)) equal
-    the rate budget: in the log domain this is water-filling over the floors
-    -log lambda_i, so xi = exp(-water_level(-log lambda, rate_budget)).
-    Modes below RANK_RTOL of the largest eigenvalue carry no rate and no
-    distortion.
+    ``spectrum`` is an array of mode variances in any order, such as the
+    one ``gram_spectrum`` returns; ``allocations`` follows them sorted
+    descending. The water level xi makes
+    sum_i log(lambda_i / min(lambda_i, xi)) equal the rate budget: in the
+    log domain this is water-filling over the floors -log lambda_i, so
+    xi = exp(-water_level(-log lambda, rate_budget)). Modes below RANK_RTOL
+    of the largest eigenvalue carry no rate and no distortion.
     """
-    if isinstance(spectrum, Spectrum):
-        lam = spectrum.eigenvalues
-    else:
-        lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
+    lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
     if rate_budget < 0:
         raise ValueError("rate_budget must be nonnegative")
     if lam.size == 0 or lam.max(initial=0.0) <= 0.0:
@@ -267,14 +252,13 @@ def reverse_waterfill(spectrum, rate_budget: float) -> RwfResult:
     )
 
 
-def channel_mi(model: TrmModel, q) -> float:
+def channel_mi(model: TrmModel, q: np.ndarray) -> float:
     """Gaussian-input mutual information log det((T/sigma_c^2) H Q H^H + I).
 
     The identity has the receive dimension M_c (the dimensionally
     consistent choice).
     """
-    qa = _gram_array(q)
-    a = (model.t / model.noise_c) * model.h_c @ qa @ model.h_c.conj().T + np.eye(model.m_c)
+    a = (model.t / model.noise_c) * model.h_c @ q @ model.h_c.conj().T + np.eye(model.m_c)
     a = 0.5 * (a + a.conj().T)
     sign, logdet = np.linalg.slogdet(a)
     if sign.real <= 0:
@@ -303,10 +287,9 @@ def random_trm_model(
     )
 
 
-def waveform_from_gram(model: TrmModel, q) -> np.ndarray:
+def waveform_from_gram(model: TrmModel, q: np.ndarray) -> np.ndarray:
     """Any N x T waveform whose Gram is q: the PSD square root padded with zeros."""
-    qa = _gram_array(q)
-    vals, vecs = np.linalg.eigh(qa)
+    vals, vecs = np.linalg.eigh(q)
     vals = np.maximum(vals, 0.0)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     x = np.zeros((model.n, model.t), dtype=np.complex128)

@@ -25,7 +25,6 @@ from .gaussian import (
     mmse_filter,
     reverse_waterfill,
     sensing_mse,
-    _block_covariance_from_waveform,
 )
 from .modelio import atomic_write_file, write_json
 
@@ -125,11 +124,14 @@ class _Chain:
         self.end_to_end = rate_budget is not None
         self.sigma_root_t = sigma_root.T
         self.x_eff_conj = x_eff.conj()
-        self.w_t = mmse_filter(model, x_eff).T
+        w = mmse_filter(model, x_eff)
+        self.w_t = w.T
         self.noise_std = np.sqrt(model.noise_s)
         self.analytic_d_c = None
         if self.end_to_end:
-            block = _block_covariance_from_waveform(model, x)
+            # the block estimate covariance Sigma X_eff W^H, from the filter above
+            block = model.sigma_s @ x_eff @ w.conj().T
+            block = 0.5 * (block + block.conj().T)
             lam, u = np.linalg.eigh(block)
             lam = np.maximum(np.real(lam), 0.0)
             rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)

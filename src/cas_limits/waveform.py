@@ -82,7 +82,7 @@ class SweepCurve:
     errors: dict[str, list[str | None]]
 
 
-def _tradeoff_point(
+def evaluate_gram(
     model: TrmModel, q_s: np.ndarray, q_c: np.ndarray | None = None
 ) -> TradeoffPoint:
     """Trade-off point of a sensing Gram ``q_s`` and a communication Gram ``q_c``.
@@ -90,7 +90,8 @@ def _tradeoff_point(
     D_s is the sensing MSE of q_s, and D_c the reverse water-filling of the
     estimate spectrum of q_s at the mutual information of q_c. Without q_c
     one Gram does both jobs, as in the ISAC design. The budget is the trace
-    of the Grams in use.
+    of the Grams in use. Both Grams are plain arrays; the point's
+    ``d_total`` is the ISAC objective D_s + D_c.
     """
     d_s = sensing_mse(model, q_s)
     mi = channel_mi(model, q_s if q_c is None else q_c)
@@ -106,15 +107,8 @@ def _tradeoff_point(
     )
 
 
-def evaluate_gram(model: TrmModel, q) -> tuple[float, TradeoffPoint]:
-    """Total distortion and trade-off record for a feasible Gram matrix."""
-    qa = q.q if isinstance(q, GramMatrix) else np.asarray(q, dtype=np.complex128)
-    point = _tradeoff_point(model, qa)
-    return point.d_total, point
-
-
 def _objective(model: TrmModel, qa: np.ndarray) -> float:
-    val = _tradeoff_point(model, qa).d_total
+    val = evaluate_gram(model, qa).d_total
     if not np.isfinite(val):
         raise NonFiniteObjective("objective evaluated to a non-finite value")
     return val
@@ -169,7 +163,7 @@ def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
 
 def optimize_isac(
     model: TrmModel,
-    init: GramMatrix | np.ndarray | None = None,
+    init: np.ndarray | None = None,
     max_iter: int = MAX_ITER,
 ) -> OptResult:
     """Minimize D_s(Q) + D_c(Q) over {Q PSD, Tr Q <= T P_T}.
@@ -179,6 +173,8 @@ def optimize_isac(
     step of the real parameter vector (diagonal, real and imaginary upper
     triangle) of Q. The problem is non-convex, so the result is a local
     optimum; small-dimension grid oracles anchor correctness in the tests.
+    The descent starts from ``init``, an N x N Hermitian array projected
+    onto the feasible set, or without it from the uniform Gram (T P_T / N) I.
     ``stop`` records why the descent ended; the run counts as converged
     unless the line search failed through all its halvings or the
     iteration cap was hit.
@@ -186,10 +182,8 @@ def optimize_isac(
     budget = model.trace_budget
     n = model.n
     if init is None:
-        qa = (budget / n) * np.eye(n, dtype=np.complex128)
-    else:
-        qa = init.q if isinstance(init, GramMatrix) else np.asarray(init, dtype=np.complex128)
-    qa = _project(qa, budget)
+        init = (budget / n) * np.eye(n, dtype=np.complex128)
+    qa = _project(init, budget)
     scale = max(budget / n, 1e-12)
 
     f = _objective(model, qa)
@@ -226,7 +220,7 @@ def optimize_isac(
     else:
         stop = "max_iter"
 
-    _, point = evaluate_gram(model, qa)
+    point = evaluate_gram(model, qa)
     return OptResult(
         q_star=GramMatrix(qa, trace_limit=budget),
         point=point,
@@ -258,19 +252,19 @@ def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
     return (u * _waterfill_powers(lam, scale, power)) @ u.conj().T
 
 
-def sw_point(model: TrmModel, rho: float) -> tuple[float, TradeoffPoint, np.ndarray, np.ndarray]:
-    """Separated-waveform operating point at power split rho.
+def sw_point(model: TrmModel, rho: float) -> tuple[TradeoffPoint, np.ndarray, np.ndarray]:
+    """Separated-waveform operating point at power split rho, with its two Grams.
 
     The sensing Gram gets rho * T * P_T and minimizes the same sensing MSE
     metric; the communication Gram gets the remainder and maximizes the
     mutual information. The communication distortion is the reverse
     water-filling of the sensing-estimate spectrum at the achieved rate.
+    Returns (point, q_s, q_c), with the total distortion in ``point.d_total``.
     """
     budget = model.trace_budget
     q_s = _waterfill(model.sigma_s, model.t / model.noise_s, rho * budget)
     q_c = _waterfill(model.h_c.conj().T @ model.h_c, model.t / model.noise_c, (1.0 - rho) * budget)
-    point = _tradeoff_point(model, q_s, q_c)
-    return point.d_total, point, q_s, q_c
+    return evaluate_gram(model, q_s, q_c), q_s, q_c
 
 
 def _split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
@@ -307,7 +301,7 @@ def optimize_sw(model: TrmModel, split_grid: int = 101) -> OptResult:
         raise ValueError("split_grid must be at least 2")
     rhos = np.linspace(0.0, 1.0, split_grid)
     rho = float(rhos[np.argmin(_split_scores(model, rhos))])
-    _, point, q_s, q_c = sw_point(model, rho)
+    point, q_s, q_c = sw_point(model, rho)
     budget = model.trace_budget
     return OptResult(
         q_star=(GramMatrix(q_s, trace_limit=budget), GramMatrix(q_c, trace_limit=budget)),
@@ -330,14 +324,19 @@ def sweep_snr(
 
     SNR is applied as P_T / sigma^2 referenced to the communication noise
     power, with both noise powers held fixed. Per-point failures are
-    recorded instead of aborting the sweep; an unknown or repeated scheme
-    name raises ValueError before the first point.
+    recorded instead of aborting the sweep; a non-finite SNR, an unknown or
+    repeated scheme name and a split_grid below 2 raise ValueError before
+    the first point.
     """
     snr_db = [float(s) for s in snr_db]
     if not snr_db:
         raise ValueError("snr_db must be nonempty")
+    if not all(map(np.isfinite, snr_db)):
+        raise ValueError(f"snr_db must be finite; got {snr_db!r}")
     if any(b < a for a, b in zip(snr_db, snr_db[1:])):
         raise ValueError("snr_db grid must be nondecreasing")
+    if split_grid < 2:
+        raise ValueError("split_grid must be at least 2")
     solvers = {
         "isac": lambda model: optimize_isac(model, max_iter=max_iter),
         "sw": lambda model: optimize_sw(model, split_grid=split_grid),

@@ -8,7 +8,7 @@ import pytest
 from cas_limits.cli import MODES, main
 from cas_limits.modelio import save_finite_cas_model, save_trm_model, write_json
 from cas_limits.waveform import CONVERGED_STOPS, STOP_REASONS
-from cas_limits import random_trm_model
+from cas_limits import optimize_isac, random_trm_model, sensing_mse
 
 from helpers import binary_sensing_model
 
@@ -244,6 +244,8 @@ VALID_CONFIGS = {
     "snr-sweep": {"model": {"seed": 3, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "snr_db": [0.0],
                   "split_grid": 21, "max_iter": 200},
     "simulate": {"model": {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4}, "trials": 100},
+    # the test adds a model file, kept outside the directory that must hold only the config
+    "discrete-capacity": {"d_s": 1.0, "budget": 1.0},
 }
 # the mode a field is tried in, where it is not discrete-rd; "model.n" is key n of the
 # model generator
@@ -252,7 +254,9 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
                  "trials": "simulate", "max_iter": "snr-sweep", "model.seed": "trm-sw",
                  "model.n": "trm-sw", "model.m_s": "trm-sw", "model.m_c": "trm-sw",
                  "model.t": "trm-sw", "dump_trials": "simulate", "output_csv": "snr-sweep",
-                 "output_json": "snr-sweep"}
+                 "output_json": "snr-sweep", "model.power": "trm-sw", "model.noise_s": "trm-sw",
+                 "model.noise_c": "trm-sw", "d_s": "discrete-capacity",
+                 "budget": "discrete-capacity"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -287,10 +291,21 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
     ("dump_trials", 7),
     ("output_csv", ["sweep.csv"]),
     ("output_json", ["sweep.json"]),
+    ("model.power", float("nan")),
+    ("model.noise_s", float("nan")),
+    ("model.noise_c", float("inf")),
+    ("grid", float("nan")),
+    ("d_s", float("nan")),
+    ("budget", float("nan")),
+    ("grid", 0.0),
 ])
-def test_malformed_config_value_exits_2(tmp_path, capsys, field, value):
+def test_malformed_config_value_exits_2(tmp_path, tmp_path_factory, capsys, field, value):
     mode = MODE_OF_FIELD.get(field, "discrete-rd")
     payload = {"mode": mode, **VALID_CONFIGS[mode]}
+    if mode == "discrete-capacity":
+        model_path = tmp_path_factory.mktemp("model") / "finite.json"
+        save_finite_cas_model(binary_sensing_model(0.9, 0.6), model_path)
+        payload["model"] = str(model_path)
     if field.startswith("model."):
         payload["model"] = {**payload["model"], field.removeprefix("model."): value}
     else:
@@ -318,3 +333,46 @@ def test_model_path_that_is_not_a_string_exits_2(tmp_path, capsys):
     })
     assert main(["--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_nan_grid_flag_exits_2(tmp_path, finite_model_path, capsys):
+    cfg = write_config(tmp_path, {"mode": "discrete-tradeoff", "model": finite_model_path,
+                                  "budget": 1.0})
+    assert main(["--config", cfg, "--grid", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid: ")
+    assert not (tmp_path / "tradeoff.json").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("power", float("nan"), "power budget must be positive and finite"),
+    ("sigma_s", [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+     "sigma_s and h_c must be finite"),
+])
+def test_model_file_with_a_non_finite_value_exits_2(tmp_path, capsys, field, value, message):
+    save_trm_model(random_trm_model(2, n=2, m_s=2, m_c=2, t=4), tmp_path / "trm.json")
+    data = json.loads((tmp_path / "trm.json").read_text())
+    (tmp_path / "trm.json").write_text(json.dumps({**data, field: value}))
+    cfg = write_config(tmp_path, {"mode": "trm-sw", "model": "trm.json", "split_grid": 21})
+    assert main(["--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sw_optimize.json").exists()
+
+
+@pytest.mark.parametrize("end_to_end", [True, False])
+def test_simulate_isac_optimal_waveform(tmp_path, end_to_end):
+    gen = {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4}
+    cfg = write_config(tmp_path, {
+        "mode": "simulate", "model": gen, "waveform": "isac-optimal", "trials": 500,
+        "end_to_end": end_to_end,
+    })
+    assert main(["--config", cfg]) == 0
+    report = json.loads((tmp_path / "simulation.json").read_text())
+    model = random_trm_model(**gen)
+    res = optimize_isac(model)
+    assert report["d_s_analytic"] == pytest.approx(sensing_mse(model, res.q_star.q), rel=1e-10)
+    if end_to_end:
+        # the link runs at the channel MI of the optimised Gram, as the ISAC objective does
+        assert report["d_c_analytic"] == pytest.approx(res.point.d_c, rel=1e-9)
+        assert report["d_total_analytic"] == pytest.approx(res.point.d_total, rel=1e-9)
+    else:
+        assert report["d_c_analytic"] is None

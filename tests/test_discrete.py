@@ -590,6 +590,14 @@ def test_uncertified_answers_warn(monkeypatch):
     assert sum("before its bounds met" in m for m in messages) == 2
 
 
+def test_beta_cap_warns(monkeypatch):
+    # d_c = 0.05 on a uniform 4-letter Hamming source sits at the slope
+    # log(3 * 0.95 / 0.05), about 4.04, past a cap of 2
+    monkeypatch.setattr(discrete, "_BETA_CAP", 2)
+    with pytest.warns(ConvergenceWarning, match="beta reached its cap 2"):
+        rate_distortion_discrete(np.full(4, 0.25), 1.0 - np.eye(4), 0.05)
+
+
 # ------------------------------------------------------- feasibility region
 
 
@@ -694,6 +702,45 @@ def test_non_square_distortion_is_refused():
         theorem1_feasible(model, d_s=1.0, d_c=0.2, budget=1.0)
     with pytest.raises(ValueError, match="not square"):
         min_total_distortion(model, budget=1.0, grid=1e-2)
+
+
+@pytest.mark.parametrize("grid", [0.0, -0.1, float("nan"), float("inf")])
+def test_min_total_distortion_rejects_a_bad_grid_before_any_solve(monkeypatch, grid):
+    monkeypatch.setattr(discrete, "constrained_capacity", None)
+    with pytest.raises(ValueError, match="grid must be positive and finite"):
+        min_total_distortion(binary_sensing_model(), budget=1.0, grid=grid)
+
+
+@pytest.mark.parametrize("name", ["d_s", "budget"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_constrained_capacity_rejects_non_finite_limits_before_any_solve(monkeypatch, name,
+                                                                        value):
+    monkeypatch.setattr(discrete, "linprog", None)
+    limits = {"d_s": 1.0, "budget": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        constrained_capacity(binary_sensing_model(), **limits)
+
+
+def test_min_total_distortion_skips_infeasible_grid_points(monkeypatch):
+    # e = (0.05, 0.4) and cost (1, 0): a budget of 0.2 puts at most 0.2 on
+    # input 0, so no input law has E[e] below 0.4 - 0.35 * 0.2 = 0.33
+    model = binary_sensing_model(0.95, 0.6, cost=(1.0, 0.0))
+    assert np.allclose(estimate_costs(model), [0.05, 0.4])
+    solve, skipped = discrete.constrained_capacity, []
+
+    def counted(model, d_s, budget):
+        try:
+            return solve(model, d_s, budget)
+        except InfeasibleConstraint:
+            skipped.append(d_s)
+            raise
+
+    monkeypatch.setattr(discrete, "constrained_capacity", counted)
+    point = min_total_distortion(model, budget=0.2, grid=0.01)
+    # the grid points 0.05, 0.06, ..., 0.32
+    assert len(skipped) == 28 and max(skipped) < 0.33
+    assert point.d_s == pytest.approx(0.33, abs=1e-12)
+    assert point.budget == pytest.approx(0.2, abs=1e-12)
 
 
 def test_mutual_information_basics():

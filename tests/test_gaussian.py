@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cas_limits import (
     GramMatrix,
     SingularPrior,
-    Spectrum,
     TrmModel,
     channel_mi,
     estimate_covariance,
@@ -123,13 +122,13 @@ def test_orthogonal_rows_give_per_mode_gain(rng):
 def test_zero_waveform_gives_zero_spectrum():
     model = random_trm_model(3, n=2, m_s=2, m_c=2, t=4)
     spec = estimate_covariance(model, np.zeros((2, 4)))
-    assert np.allclose(spec.eigenvalues, 0.0)
+    assert np.allclose(spec, 0.0)
 
 
 def test_scalar_estimate_variance():
     model = scalar_trm_model(power=3.0, t=1)
     spec = estimate_covariance(model, np.array([[np.sqrt(3.0)]]))
-    assert spec.eigenvalues[0] == pytest.approx(0.75, abs=1e-12)
+    assert spec[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_trace_identity(rng):
@@ -140,17 +139,33 @@ def test_trace_identity(rng):
         d_s = sensing_mse(model, q)
         spec = estimate_covariance(model, x)
         total = model.m_s * np.real(np.trace(model.sigma_s))
-        assert d_s + spec.eigenvalues.sum() == pytest.approx(total, rel=1e-8)
+        assert d_s + spec.sum() == pytest.approx(total, rel=1e-8)
 
 
 def test_gram_and_waveform_spectra_agree(rng):
     model = random_trm_model(4, n=3, m_s=2, m_c=2, t=8)
     q = random_psd(rng, 3, scale=3.0)
     x = waveform_from_gram(model, q)
-    a = estimate_covariance(model, x).eigenvalues
-    b = gram_spectrum(model, q).eigenvalues
+    a = estimate_covariance(model, x)
+    b = gram_spectrum(model, q)
     assert np.allclose(a, b, atol=1e-10)
     assert a.size == model.n * model.m_s
+
+
+def test_spectra_are_nonnegative_descending_arrays_of_length_n_ms(rng):
+    # a rank-1 Gram leaves all but M_s estimate eigenvalues at rounding level,
+    # where the clip at 0 decides their sign
+    for seed in range(5):
+        model = random_trm_model(seed, n=3, m_s=2, m_c=2, t=8)
+        a = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        q = a @ a.conj().T
+        x = waveform_from_gram(model, q)
+        for spec in (gram_spectrum(model, q), estimate_covariance(model, x)):
+            assert isinstance(spec, np.ndarray) and spec.shape == (model.n * model.m_s,)
+            assert np.all(spec >= 0.0)
+            assert np.all(np.diff(spec) <= 0.0)
+            # each per-block eigenvalue appears M_s times
+            assert np.array_equal(spec, np.repeat(spec[:: model.m_s], model.m_s))
 
 
 # ------------------------------------------------------ reverse water-filling
@@ -262,18 +277,29 @@ def test_trm_model_validation():
                  t=2, m_s=1, power=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("power", float("nan")),
+    ("power", float("inf")),
+    ("noise_s", float("nan")),
+    ("noise_s", float("inf")),
+    ("noise_c", float("nan")),
+    ("noise_c", float("inf")),
+    ("sigma_s", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ("h_c", [[1.0, float("inf")], [0.0, 1.0]]),
+])
+def test_trm_model_rejects_non_finite_values(field, value):
+    kwargs = dict(sigma_s=np.eye(2), h_c=np.eye(2), noise_s=1.0, noise_c=1.0, t=4, m_s=1,
+                  power=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        TrmModel(**kwargs)
+
+
 def test_gram_matrix_validation():
     with pytest.raises(ValueError):
         GramMatrix(np.array([[2.0, 0.0], [0.0, 2.0]]), trace_limit=3.0)
     g = GramMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), trace_limit=3.0)
     assert g.trace == pytest.approx(2.0)
-
-
-def test_spectrum_sorts_and_validates():
-    s = Spectrum(np.array([0.5, 2.0, 1.0]))
-    assert np.allclose(s.eigenvalues, [2.0, 1.0, 0.5])
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, -0.5]))
 
 
 def test_trm_json_round_trip(tmp_path, rng):

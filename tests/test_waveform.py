@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cas_limits import (
-    GramMatrix,
     NonFiniteObjective,
     TrmModel,
     channel_mi,
@@ -107,6 +106,19 @@ def test_result_is_feasible_and_no_worse_than_the_init(rng):
     assert res.point.d_total == pytest.approx(res.point.d_s + res.point.d_c, abs=1e-9)
 
 
+def test_warm_start_is_feasible_and_no_worse_than_its_init():
+    # the summed separated-waveform Grams are a feasible ISAC Gram (trace = budget)
+    for seed in range(4):
+        model = random_trm_model(seed, n=3, m_s=2, m_c=2, t=8)
+        sw = optimize_sw(model, split_grid=21)
+        init = sw.q_star[0].q + sw.q_star[1].q
+        assert np.real(np.trace(init)) <= model.trace_budget + 1e-9
+        res = optimize_isac(model, init=init)
+        assert np.all(np.linalg.eigvalsh(res.q_star.q) >= -1e-10)
+        assert res.trace_used <= model.trace_budget + 1e-9
+        assert res.point.d_total <= _objective(model, init) + 1e-12
+
+
 def _random_psd(rng, n, rank, trace):
     a = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / 2
     q = a @ a.conj().T
@@ -184,7 +196,7 @@ def test_rate_never_exceeds_the_channel_mi(rng):
         a = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 2
         q = a @ a.conj().T
         q *= model.trace_budget / np.real(np.trace(q)) * rng.uniform(0.2, 1.0)
-        _, point = evaluate_gram(model, q)
+        point = evaluate_gram(model, q)
         assert point.rate <= point.capacity + 1e-8
 
 
@@ -193,10 +205,10 @@ def test_rate_never_exceeds_the_channel_mi(rng):
 
 def test_full_sensing_split_has_zero_rate():
     model = random_trm_model(11, n=3, m_s=2, m_c=2, t=8)
-    total, point, q_s, q_c = sw_point(model, 1.0)
+    point, q_s, q_c = sw_point(model, 1.0)
     assert np.allclose(q_c, 0.0)
     assert point.rate == 0.0
-    lam = gram_spectrum(model, q_s).eigenvalues
+    lam = gram_spectrum(model, q_s)
     assert point.d_c == pytest.approx(lam.sum(), rel=1e-10)
     assert point.d_s == pytest.approx(sensing_mse(model, q_s), rel=1e-12)
 
@@ -204,7 +216,7 @@ def test_full_sensing_split_has_zero_rate():
 def test_scalar_baseline_matches_dense_split_grid():
     model = scalar_trm_model(power=1.0, t=4)
     res = optimize_sw(model, split_grid=1001)
-    dense = min(sw_point(model, rho)[0] for rho in np.linspace(0.0, 1.0, 1001))
+    dense = min(sw_point(model, rho)[0].d_total for rho in np.linspace(0.0, 1.0, 1001))
     assert res.point.d_total == pytest.approx(dense, abs=1e-12)
 
 
@@ -243,8 +255,8 @@ def test_sensing_waterfilling_spends_the_power():
 def test_optimal_split_beats_the_endpoints():
     model = random_trm_model(13, n=3, m_s=2, m_c=2, t=8)
     res = optimize_sw(model, split_grid=101)
-    assert res.point.d_total <= sw_point(model, 0.0)[0] + 1e-12
-    assert res.point.d_total <= sw_point(model, 1.0)[0] + 1e-12
+    assert res.point.d_total <= sw_point(model, 0.0)[0].d_total + 1e-12
+    assert res.point.d_total <= sw_point(model, 1.0)[0].d_total + 1e-12
     assert 0.0 <= res.rho <= 1.0
 
 
@@ -262,10 +274,10 @@ def test_split_scores_match_sw_point():
             t=2 * n, m_s=m_s, power=float(10 ** rng.uniform(-1, 3)),
         )
         rhos = np.linspace(0.0, 1.0, 21)
-        expect = np.array([sw_point(model, float(rho))[0] for rho in rhos])
+        expect = np.array([sw_point(model, float(rho))[0].d_total for rho in rhos])
         assert np.allclose(_split_scores(model, rhos), expect, rtol=1e-10, atol=0.0), seed
         res = optimize_sw(model, split_grid=21)
-        assert res.point == sw_point(model, res.rho)[1]
+        assert res.point == sw_point(model, res.rho)[0]
 
 
 def test_split_grid_validation():
@@ -316,6 +328,22 @@ def test_sweep_rejects_bad_scheme_names_before_the_first_point(schemes):
     model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
     with pytest.raises(ValueError, match="schemes"):
         sweep_snr(model, [0.0, 5.0], schemes=schemes, split_grid=11)
+
+
+@pytest.mark.parametrize("snr_db", [[float("nan")], [0.0, float("inf")], [-float("inf"), 0.0]])
+def test_sweep_rejects_non_finite_snr_before_the_first_point(monkeypatch, snr_db):
+    monkeypatch.setattr(waveform, "optimize_isac", None)
+    monkeypatch.setattr(waveform, "optimize_sw", None)
+    with pytest.raises(ValueError, match="snr_db must be finite"):
+        sweep_snr(scalar_trm_model(), snr_db)
+
+
+@pytest.mark.parametrize("schemes", [("isac", "sw"), ("sw",), ("isac",)])
+def test_sweep_rejects_a_split_grid_below_2_before_the_first_point(monkeypatch, schemes):
+    monkeypatch.setattr(waveform, "optimize_isac", None)
+    monkeypatch.setattr(waveform, "optimize_sw", None)
+    with pytest.raises(ValueError, match="split_grid must be at least 2"):
+        sweep_snr(scalar_trm_model(), [0.0], schemes=schemes, split_grid=1)
 
 
 def test_sweep_grid_must_be_sorted():
