@@ -22,6 +22,9 @@ from .gaussian import GramMatrix, TrmModel, channel_mi, random_trm_model, wavefo
 from .modelio import (
     atomic_write_file,
     complex_to_pairs,
+    convert,
+    finite,
+    integer,
     load_finite_cas_model,
     load_trm_model,
     pairs_to_complex,
@@ -50,27 +53,6 @@ def _unit(bits: bool) -> str:
     return "bits" if bits else "nats"
 
 
-def _integer(raw) -> int:
-    """``raw`` as an int; a number with a fractional part is an error, not truncated."""
-    if isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"must be an integer, got {raw!r}")
-    return int(raw)
-
-
-def _finite(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {raw!r}")
-    return value
-
-
-def _convert(name: str, raw, kind):
-    try:
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
 class Config:
     """Validated experiment configuration."""
 
@@ -86,11 +68,11 @@ class Config:
         for key in _PATH_KEYS:
             if data.get(key) is not None and not isinstance(data[key], str):
                 raise ConfigError(f"{key}: must be a path string, got {data[key]!r}")
-        self.seed = self.value("seed", _integer, 0)
+        self.seed = self.value("seed", integer, 0)
         self.bits = self.flag("bits", False)
         self.out_dir = self.value("out_dir", default=".")
-        self.trials = self.value("trials", _integer, 10_000)
-        self.grid = self.value("grid", _finite, 1e-3)
+        self.trials = self.value("trials", integer, 10_000)
+        self.grid = self.value("grid", finite, 1e-3)
         if self.grid <= 0:
             raise ConfigError(f"grid: must be positive, got {self.grid!r}")
 
@@ -101,7 +83,7 @@ class Config:
             if default is None:
                 raise ConfigError(f"mode {self.mode}: missing required field '{name}'")
             return default
-        return raw if kind is None else _convert(name, raw, kind)
+        return raw if kind is None else convert(name, raw, kind)
 
     def flag(self, name: str, default: bool) -> bool:
         """Field ``name``, which must be a JSON boolean when set."""
@@ -113,7 +95,7 @@ class Config:
         return raw
 
     def split_grid(self) -> int:
-        split_grid = self.value("split_grid", _integer, 101)
+        split_grid = self.value("split_grid", integer, 101)
         if split_grid < 2:
             raise ConfigError("split_grid: must be at least 2")
         return split_grid
@@ -134,18 +116,18 @@ class Config:
             return load_trm_model(self.path(spec))
         if isinstance(spec, dict):
             def field(key, kind, default):
-                return _convert(f"model.{key}", spec.get(key, default), kind)
+                return convert(f"model.{key}", spec.get(key, default), kind)
 
             try:
                 return random_trm_model(
-                    seed=field("seed", _integer, self.seed),
-                    n=field("n", _integer, 4),
-                    m_s=field("m_s", _integer, 4),
-                    m_c=field("m_c", _integer, 4),
-                    t=field("t", _integer, 16),
-                    power=field("power", _finite, 1.0),
-                    noise_s=field("noise_s", _finite, 1.0),
-                    noise_c=field("noise_c", _finite, 1.0),
+                    seed=field("seed", integer, self.seed),
+                    n=field("n", integer, 4),
+                    m_s=field("m_s", integer, 4),
+                    m_c=field("m_c", integer, 4),
+                    t=field("t", integer, 16),
+                    power=field("power", finite, 1.0),
+                    noise_s=field("noise_s", finite, 1.0),
+                    noise_c=field("noise_c", finite, 1.0),
                 )
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"model generator: {exc}") from exc
@@ -162,7 +144,7 @@ def _point_payload(point, bits: bool) -> dict:
 
 def _run_discrete_capacity(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
-    d_s, budget = cfg.value("d_s", _finite), cfg.value("budget", _finite)
+    d_s, budget = cfg.value("d_s", finite), cfg.value("budget", finite)
     capacity, px = discrete.constrained_capacity(model, d_s, budget)
     payload = {
         "capacity": _rate(capacity, cfg.bits),
@@ -182,7 +164,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         source, dist = discrete._rd_inputs(cfg.value("source"), cfg.value("distortion"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    d_c = cfg.value("d_c", _finite)
+    d_c = cfg.value("d_c", finite)
     rate, cond = discrete.rate_distortion_discrete(source, dist, d_c)
     payload = {
         "rate": _rate(rate, cfg.bits),
@@ -198,7 +180,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
 
 def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
-    point = discrete.min_total_distortion(model, cfg.value("budget", _finite), grid=cfg.grid)
+    point = discrete.min_total_distortion(model, cfg.value("budget", finite), grid=cfg.grid)
     payload = _point_payload(point, cfg.bits)
     out = cfg.out_path(cfg.value("output", default="tradeoff.json"))
     write_json(payload, out)
@@ -211,7 +193,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
 
 def _run_trm_optimize(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    max_iter = cfg.value("max_iter", _integer, waveform.MAX_ITER)
+    max_iter = cfg.value("max_iter", integer, waveform.MAX_ITER)
     res = waveform.optimize_isac(model, max_iter=max_iter)
     payload = {
         "point": _point_payload(res.point, cfg.bits),
@@ -264,7 +246,7 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
         snr_db,
         schemes=tuple(schemes),
         split_grid=cfg.split_grid(),
-        max_iter=cfg.value("max_iter", _integer, waveform.MAX_ITER),
+        max_iter=cfg.value("max_iter", integer, waveform.MAX_ITER),
     )
     out_csv = cfg.out_path(cfg.value("output_csv", default="sweep.csv"))
     out_json = cfg.out_path(cfg.value("output_json", default="sweep.json"))
@@ -296,7 +278,7 @@ def _run_simulate(cfg: Config) -> list[str]:
         q = (model.trace_budget / model.n) * np.eye(model.n)
         x = waveform_from_gram(model, q)
     elif wf_spec == "isac-optimal":
-        max_iter = cfg.value("max_iter", _integer, waveform.MAX_ITER)
+        max_iter = cfg.value("max_iter", integer, waveform.MAX_ITER)
         res = waveform.optimize_isac(model, max_iter=max_iter)
         x = waveform_from_gram(model, res.q_star.q)
     elif isinstance(wf_spec, list):

@@ -8,12 +8,12 @@ and the total-distortion minimizer. All rates are in nats.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConvergenceWarning,
@@ -21,7 +21,7 @@ from .errors import (
     UnreachableDistortion,
     ZeroProbabilityObservation,
 )
-from .kernels import ba_capacity, ba_rate_distortion, rd_channel
+from .kernels import _LOG_FLOOR, ba_capacity, ba_rate_distortion, rd_channel
 from .types import TradeoffPoint
 
 SIMPLEX_TOL = 1e-12
@@ -35,7 +35,6 @@ _BETA_CAP = 1e8         # rate-distortion slope doubling safety cap
 _BISECT_STEPS = 200     # cap on steps of safeguarded false position on the slope per R(D) search
 _NEWTON_STEPS = 50
 _SCREEN = 1e-6          # a Newton polish starts without coordinates below this times the largest
-_LOG_FLOOR = 1e-300
 
 
 def _check_prob(vec: np.ndarray, name: str) -> None:
@@ -193,69 +192,44 @@ def _warn(message: str) -> None:
     warnings.warn(message, ConvergenceWarning, stacklevel=3)
 
 
-def _simplex_newton(x, oracle, tol, rows=None, limits=None) -> tuple[np.ndarray, float]:
+def _simplex_newton(x, oracle, tol) -> tuple[np.ndarray, float]:
     """Polish a near-optimal point of a concave function over the simplex.
 
-    With rows, the simplex is also cut by ``rows @ x <= limits``.
-    Active-set Newton on the face {x > 0} with the held rows at their
-    limits: each step solves the quadratic model in the null space of the
-    face, which also puts held rows that drifted back on their limits. A
-    coordinate that a step drives to zero leaves the support and a row
-    that a step reaches is held; once the point is stationary on its face,
-    a held row whose multiplier is below ``tol`` is released, or else the
-    coordinate with the largest Lagrangian gradient outside the support
-    joins. ``oracle(x)`` returns the value, gradient and Hessian. Returns
-    the point and its Lagrangian gap ``max(grad - mu @ rows) + mu @ limits
-    - x @ grad``. For mu >= 0 it bounds the distance to the maximum, as
-    f(y) - f(x) <= grad @ (y - x) <= that gap for feasible y. mu is fitted
-    on the face, or chosen by a linear program where that does not
-    certify (a degenerate vertex). With no rows it is the Frank-Wolfe gap
-    ``max(grad) - x @ grad``. The caller accepts the point only when the
-    gap is below ``tol``.
+    Active-set Newton on the face {x > 0}: each step solves the quadratic
+    model in the null space of the face. A coordinate that a step drives
+    to zero leaves the support; once the point is stationary on its face,
+    the coordinate with the largest gradient outside the support joins.
+    ``oracle(x)`` returns the value, gradient and Hessian. Returns the
+    point and its Frank-Wolfe gap ``max(grad) - x @ grad``, which bounds
+    the distance to the maximum, as f(y) - f(x) <= grad @ (y - x) <= that
+    gap for every y in the simplex. The caller accepts the point only when
+    the gap is below ``tol``.
 
-    With no rows the start is screened first: coordinates below
-    ``_SCREEN`` times the largest one are set to zero. A Blahut-Arimoto
-    iterate drains letters off the optimal support only geometrically, so
-    without the screen each of them would cost a Newton step to drop, and a
-    wide R(D) problem has more of them than ``_NEWTON_STEPS``. A coordinate
-    screened out wrongly keeps a gradient above ``x @ grad`` at the optimum
-    of the smaller support, so the admission rule brings it back, and the
-    gap test still decides acceptance: the screen changes the work, not the
-    answer.
+    The start is screened first: coordinates below ``_SCREEN`` times the
+    largest one are set to zero. A Blahut-Arimoto iterate drains letters
+    off the optimal support only geometrically, so without the screen each
+    of them would cost a Newton step to drop, and a wide R(D) problem has
+    more of them than ``_NEWTON_STEPS``. A coordinate screened out wrongly
+    keeps a gradient above ``x @ grad`` at the optimum of the smaller
+    support, so the admission rule brings it back, and the gap test still
+    decides acceptance: the screen changes the work, not the answer.
     """
-    if rows is None:
-        rows, limits = np.zeros((0, x.size)), np.zeros(0)
-        x = np.where(x < _SCREEN * x.max(), 0.0, x)
-        x /= x.sum()
-    held = rows @ x >= limits
+    x = np.where(x < _SCREEN * x.max(), 0.0, x)
+    x /= x.sum()
     f, g, h = oracle(x)
-
-    def gap_at(mu):
-        return float((g - mu @ rows).max() + mu @ limits - x @ g)
-
     for k in range(_NEWTON_STEPS + 1):
         free = x > 0.0
-        mu = np.zeros(limits.size)
-        if held.any():
-            face = np.vstack([np.ones(free.sum()), rows[held][:, free]])
-            mu[held] = np.linalg.lstsq(face.T, g[free], rcond=None)[0][1:]
-        gap = gap_at(np.maximum(mu, 0.0))
+        gap = float(g.max() - x @ g)
         if gap < tol or k == _NEWTON_STEPS:
             break
-        lag = g - mu @ rows
-        if lag[free].max() - x @ lag < tol:
-            # stationary on its face: release a row or admit a coordinate
-            if held.any() and mu[held].min() < tol:
-                held[np.argmin(np.where(held, mu, np.inf))] = False
-            else:
-                free[np.argmax(np.where(free, -np.inf, lag))] = True
+        if g[free].max() - x @ g < tol:
+            # stationary on its face: admit a coordinate
+            free[np.argmax(np.where(free, -np.inf, g))] = True
         s = np.flatnonzero(free)
-        eq = np.vstack([np.ones(x.size), rows[held]])
-        u, sv, vt = np.linalg.svd(eq[:, s])
-        rank = int(np.sum(sv > 1e-12 * sv[0]))
-        residual = np.append(1.0, limits[held]) - eq[:, s] @ x[s]
-        base = vt[:rank].T @ ((u[:, :rank].T @ residual) / sv[:rank])
-        null = vt[rank:].T
+        eq = np.ones((1, s.size))
+        u, sv, vt = np.linalg.svd(eq)
+        base = vt[0] * (u[0, 0] * (1.0 - eq @ x[s]) / sv[0])
+        null = vt[1:].T
         hs = h[np.ix_(s, s)]
         curv, basis = np.linalg.eigh(null.T @ hs @ null)
         slope = basis.T @ (null.T @ (g[s] + hs @ base))
@@ -270,11 +244,8 @@ def _simplex_newton(x, oracle, tol, rows=None, limits=None) -> tuple[np.ndarray,
             step = base - null @ (basis[:, ~flat] @ (slope[~flat] / curv[~flat]))
             t_max = 1.0
         ratio = np.where(step < 0.0, -x[s] / np.minimum(step, -1e-300), np.inf)
-        rise = rows[:, s] @ step
-        reach = np.where(~held & (rise > 0.0),
-                         np.maximum(limits - rows @ x, 0.0) / np.maximum(rise, 1e-300), np.inf)
         block = int(ratio.argmin())
-        t = min(t_max, float(ratio[block]), reach.min(initial=math.inf))
+        t = min(t_max, float(ratio[block]))
         if t == 0.0:
             break  # the face admits no move: stalled
         for _ in range(40):
@@ -290,14 +261,7 @@ def _simplex_newton(x, oracle, tol, rows=None, limits=None) -> tuple[np.ndarray,
             t *= 0.5
         else:
             break  # no ascent left: the polish has stalled
-        held |= reach <= t
         x, f, g, h = y, fy, gy, hy
-    if gap >= tol and limits.size:
-        # min over (t, mu >= 0) of t + mu @ limits with t >= grad - mu @ rows
-        res = linprog(np.append(1.0, limits), A_ub=np.hstack([-np.ones((x.size, 1)), -rows.T]),
-                      b_ub=-g, bounds=[(None, None)] + [(0.0, None)] * limits.size)
-        if res.status == 0:
-            gap = min(gap, gap_at(np.maximum(res.x[1:], 0.0)))
     return x, gap
 
 
@@ -321,6 +285,53 @@ def _certified_ba(kernel, polish, tol: float, what: str):
     return out
 
 
+def _vertices(rows, limits) -> np.ndarray:
+    """Input laws, stacked, whose convex hull is {p in the simplex : rows @ p <= limits}.
+
+    For at most two rows. A vertex of that set meets n - 1 of its inequalities
+    with equality, so it is a pure law, a two-letter mixture with one row at
+    its limit, or a three-letter mixture with both rows at theirs. Each such
+    mixture is solved in closed form; those that meet every row to rounding
+    are kept, and they include every vertex.
+    """
+    eye = np.eye(rows.shape[1])
+    laws = [eye]
+    i, j = np.triu_indices(len(eye), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r, limit in zip(rows, limits):
+            t = ((limit - r[j]) / (r[i] - r[j]))[:, None]  # the weight on i that meets the limit
+            k = ((0.0 < t) & (t < 1.0))[:, 0]
+            laws.append(t[k] * eye[i[k]] + (1.0 - t[k]) * eye[j[k]])
+        if len(rows) == 2:
+            tri = np.array(list(itertools.combinations(range(len(eye)), 3)), np.intp).reshape(-1, 3)
+            a, b = rows[:, tri] - limits[:, None, None]
+            # the barycentric weights of the limits in the triangle of the three letters' costs
+            cross = np.roll(a, -1, 1) * np.roll(b, 1, 1) - np.roll(a, 1, 1) * np.roll(b, -1, 1)
+            weights = cross / cross.sum(axis=1, keepdims=True)
+            k = np.all(weights >= 0.0, axis=1)
+            laws.append(np.einsum("tk,tkn->tn", weights[k], eye[tri[k]]))
+    laws = np.vstack(laws)
+    tol = 4.0 * np.finfo(np.float64).eps * np.abs(rows).max(initial=1.0)
+    return laws[np.all(laws @ rows.T <= limits + tol, axis=1)]
+
+
+def _least_excess(rows, limits) -> np.ndarray:
+    """The law of least excess max(rows @ p - limits) over two rows: pure, or two-letter with ties."""
+    laws = np.vstack([np.eye(rows.shape[1]), _vertices(rows[:1] - rows[1:], limits[:1] - limits[1:])])
+    return laws[np.argmin((laws @ rows.T - limits).max(axis=1))]
+
+
+def _capacity_oracle(w, base):
+    """Value, gradient and Hessian of I(p) = p @ base - H(p @ w), with base = sum_y w log w."""
+
+    def oracle(p):
+        q = p @ w
+        score = base - w @ np.log(q + _LOG_FLOOR)
+        return p @ score, score, -(w / (q + _LOG_FLOOR)) @ w.T
+
+    return oracle
+
+
 def constrained_capacity(
     model: FiniteCasModel, d_s: float, budget: float
 ) -> tuple[float, InputDistribution]:
@@ -330,12 +341,12 @@ def constrained_capacity(
     E[b(X)] <= budget. One Blahut-Arimoto run certifies the unconstrained
     capacity to BA_TOL (a Newton polish finishes runs that Blahut-Arimoto
     alone would take too long to certify); if its input law meets both
-    constraints it is the answer. Otherwise the active-set Newton method
-    of ``_simplex_newton`` solves the constrained problem from the last
-    feasible point on the segment from a vertex of the feasible set to that
-    law, with the constraints held to rounding, and certifies its answer by
-    a Lagrangian gap below BA_TOL or raises a ConvergenceWarning. Limits at
-    most SLACK_TOL below what every input law costs are raised to it. A
+    constraints it is the answer. Otherwise I is maximized over weights on
+    the laws from ``_vertices``, whose hull is the feasible set: each law
+    acts as one input letter, and ``_simplex_newton`` solves from the one
+    that the gradient at the unconstrained law ranks first. A Frank-Wolfe
+    gap of BA_TOL or more raises a ConvergenceWarning. Limits at most
+    SLACK_TOL below what every input law costs are raised to it. A
     non-finite limit raises ValueError.
     """
     for name, limit in (("d_s", d_s), ("budget", budget)):
@@ -344,42 +355,25 @@ def constrained_capacity(
     w = model.comm_law
     rows = np.vstack([estimate_costs(model), model.cost])
     limits = np.array([d_s, budget], dtype=np.float64)
-    # the input law with the least excess max(rows @ p - limits), a vertex of this program
-    n = w.shape[0]
-    res = linprog(np.eye(n + 1)[n], A_ub=np.hstack([rows, -np.ones((2, 1))]), b_ub=limits,
-                  A_eq=[[1.0] * n + [0.0]], b_eq=[1.0], bounds=[(0.0, None)] * n + [(None, None)])
-    if res.status != 0:
-        raise ArithmeticError(f"least-excess linear program: {res.message}")
-    vertex = np.maximum(res.x[:n], 0.0)
-    at_vertex = rows @ vertex
+    at_vertex = rows @ _least_excess(rows, limits)
     if np.max(at_vertex - limits) > SLACK_TOL:
         raise InfeasibleConstraint(f"no input law has E[e] <= {d_s} and E[b] <= {budget}")
     limits = np.maximum(limits, at_vertex)
     # a row constant over the inputs up to rounding holds for every input law
     varies = np.ptp(rows, axis=1) > 1e-12 * np.abs(rows).max(axis=1)
-    rows, limits, at_vertex = rows[varies], limits[varies], at_vertex[varies]
+    rows, limits = rows[varies], limits[varies]
     base = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1)
-
-    def oracle(p):
-        q = p @ w
-        score = base - w @ np.log(q + _LOG_FLOOR)
-        return p @ score, score, -(w / (q + _LOG_FLOOR)) @ w.T
-
-    p = _certified_ba(
-        lambda max_iter: ba_capacity(w, BA_TOL, max_iter),
-        lambda p: _simplex_newton(p, oracle, BA_TOL),
-        BA_TOL,
-        "constrained_capacity",
-    )
-    at_p = rows @ p
-    over = at_p > limits
-    if over.any():
-        # the last feasible point on the segment from the vertex to p
-        t = np.min((limits - at_vertex)[over] / (at_p - at_vertex)[over])
-        p, gap = _simplex_newton(vertex + t * (p - vertex), oracle, BA_TOL, rows, limits)
+    oracle = _capacity_oracle(w, base)
+    p = _certified_ba(lambda max_iter: ba_capacity(w, BA_TOL, max_iter),
+                      lambda p: _simplex_newton(p, oracle, BA_TOL), BA_TOL, "constrained_capacity")
+    if np.any(rows @ p > limits):
+        laws = _vertices(rows, limits)
+        start = (np.arange(len(laws)) == np.argmax(laws @ oracle(p)[1])).astype(np.float64)
+        weights, gap = _simplex_newton(start, _capacity_oracle(laws @ w, laws @ base), BA_TOL)
         if gap >= BA_TOL:
             _warn(f"constrained_capacity at d_s={d_s:.12g}, budget={budget:.12g}: "
                   f"Newton solve stopped uncertified; gap {gap:.3e}")
+        p = weights @ laws
     return mutual_information(p, w), InputDistribution(p)
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import SingularPrior
 
 HERM_TOL = 1e-10
-EIG_FLOOR = -1e-12
 RANK_RTOL = 1e-12       # eigenvalues below this fraction of the max are zero modes
 
 
@@ -29,10 +28,10 @@ def _as_complex(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
-def _check_hermitian(a: np.ndarray, name: str, tol: float = HERM_TOL) -> np.ndarray:
+def _check_hermitian(a: np.ndarray, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > tol * scale:
-        raise ValueError(f"{name}: matrix is not Hermitian within {tol}")
+    if np.abs(a - a.conj().T).max(initial=0.0) > HERM_TOL * scale:
+        raise ValueError(f"{name}: matrix is not Hermitian within {HERM_TOL}")
     return 0.5 * (a + a.conj().T)
 
 

@@ -8,6 +8,7 @@ carry the offending field path.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -45,6 +46,27 @@ def write_json(payload, path) -> None:
             json.dump(payload, fh, indent=2)
 
     atomic_write_file(write, path)
+
+
+def integer(raw) -> int:
+    """``raw`` as an int; a number with a fractional part is an error, not truncated."""
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def convert(name: str, raw, kind):
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _load_json(path) -> dict:
@@ -116,8 +138,8 @@ def load_trm_model(path) -> TrmModel:
             h_c=pairs_to_complex(data["h_c"], f"{path}: h_c"),
             noise_s=float(data["noise_s"]),
             noise_c=float(data["noise_c"]),
-            t=int(data["t"]),
-            m_s=int(data["m_s"]),
+            t=convert(f"{path}: t", data["t"], integer),
+            m_s=convert(f"{path}: m_s", data["m_s"], integer),
             power=float(data["power"]),
         )
     except (TypeError, ValueError) as exc:

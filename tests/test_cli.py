@@ -1,6 +1,7 @@
 """Command-line interface: modes, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +377,53 @@ def test_simulate_isac_optimal_waveform(tmp_path, end_to_end):
         assert report["d_total_analytic"] == pytest.approx(res.point.d_total, rel=1e-9)
     else:
         assert report["d_c_analytic"] is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"t": 4.7}, "t: must be an integer, got 4.7"),
+    ({"m_s": 2.9}, "m_s: must be an integer, got 2.9"),
+    ({"power": None}, "missing required field 'power'"),
+    ({"h_c": [[1.0, 0.0, 2.0]]}, "h_c: innermost entries must be [re, im] pairs"),
+    ({"sigma_s": [["a", "b"]]}, "sigma_s: expected nested [re, im] pairs"),
+    (None, "line 1, column 2: "),
+])
+def test_malformed_trm_model_file_exits_2(tmp_path, capsys, edit, message):
+    # edit: fields to replace, None for a field to drop; None alone for a JSON syntax error
+    path = tmp_path / "trm.json"
+    save_trm_model(random_trm_model(2, n=2, m_s=2, m_c=2, t=4), path)
+    if edit is None:
+        path.write_text("{not json")
+    else:
+        data = {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps({key: v for key, v in data.items() if v is not None}))
+    cfg = write_config(tmp_path, {"mode": "trm-sw", "model": "trm.json", "split_grid": 21})
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: {message}")
+    assert not (tmp_path / "sw_optimize.json").exists()
+
+
+def test_ragged_finite_model_file_exits_2(tmp_path, finite_model_path, capsys):
+    data = json.loads((tmp_path / finite_model_path).read_text())
+    data["comm_law"] = [[0.9, 0.1], [1.0]]
+    (tmp_path / finite_model_path).write_text(json.dumps(data))
+    cfg = write_config(tmp_path, {"mode": "discrete-capacity", "model": finite_model_path,
+                                  "d_s": 1.0, "budget": 1.0})
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {tmp_path / finite_model_path}: ")
+    assert not (tmp_path / "capacity.json").exists()
+
+
+def test_trials_flag_overrides_the_config(tmp_path):
+    cfg = write_config(tmp_path, {**VALID_CONFIGS["simulate"], "mode": "simulate"})
+    assert main(["--config", cfg, "--trials", "37"]) == 0
+    assert json.loads((tmp_path / "simulation.json").read_text())["n_trials"] == 37
+
+
+def test_simulate_lists_the_trial_dump_as_an_artifact(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**VALID_CONFIGS["simulate"], "mode": "simulate",
+                                  "trials": 50, "dump_trials": "trials.csv"})
+    assert main(["--config", cfg]) == 0
+    written = [Path(line.removeprefix("wrote ")).resolve()
+               for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert written == [(tmp_path / name).resolve() for name in ("simulation.json", "trials.csv")]
+    assert len((tmp_path / "trials.csv").read_text().splitlines()) == 51

@@ -1,6 +1,9 @@
 """Finite-alphabet solvers: estimator, capacity, rate-distortion, region."""
 
 import itertools
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -270,6 +273,7 @@ def _random_capacity_problems():
     budget that the cheapest-to-sense input meets, and budget = min b with
     a d_s that the cheapest input meets. Then models whose sensing ignores
     the input, so that e is constant and E[e] <= d_s is tight for every law.
+    Last, four 8-input models with limits met by a random input law.
     """
     rng = np.random.default_rng(99)
     for _ in range(40):
@@ -291,6 +295,12 @@ def _random_capacity_problems():
         )
         e, b = estimate_costs(model), model.cost
         yield model, float(e.max()), float(b.min() + rng.uniform(0.05, 0.95) * np.ptp(b))
+    # 8-input models on which a Newton path that fits row multipliers stopped uncertified
+    for seed in (73, 183, 239, 381):
+        rng = np.random.default_rng(seed)
+        model = random_finite_model(rng, n_x=8, n_y=3)
+        law = random_rows(rng, (8,))
+        yield model, float(law @ estimate_costs(model)), float(law @ model.cost)
 
 
 def test_constrained_capacity_meets_its_dual_bound():
@@ -303,6 +313,72 @@ def test_constrained_capacity_meets_its_dual_bound():
         assert np.all(rows @ px.probs <= limits + 1e-12), (d_s, budget)
         bound = _capacity_dual_bound(model.comm_law, px.probs, rows, limits)
         assert abs(cap - bound) < 2e-12, (d_s, budget, cap, bound)
+
+
+def _vertex_problems():
+    """(rows, limits) of random 2-8-input models, two rows of (e, b) each.
+
+    Per model: limits met by a random input law, the costs of one input,
+    and limits that no input law meets. Every third model gives its last
+    input the sensing law and cost of its first, so two inputs tie in
+    (e, b); every third other one has a constant cost.
+    """
+    rng = np.random.default_rng(17)
+    for k in range(42):
+        n_x = 2 + k % 7
+        model = random_finite_model(rng, n_x=n_x)
+        sensing, cost = model.sensing_law.copy(), model.cost.copy()
+        if k % 3 == 1:
+            sensing[-1], cost[-1] = sensing[0], cost[0]
+        if k % 3 == 2:
+            cost[:] = cost[0]
+        model = FiniteCasModel(model.state_prior, sensing, model.comm_law, model.distortion, cost)
+        rows = np.vstack([estimate_costs(model), model.cost])
+        yield rows, rows @ random_rows(rng, (n_x,))
+        yield rows, rows[:, int(rng.integers(n_x))].copy()
+        yield rows, rows.min(axis=1) - rng.uniform(0.0, 0.1, 2)
+
+
+def test_vertices_span_the_feasible_set():
+    # a linear function peaks over a polytope at a vertex, so the best law of
+    # _vertices must match the linear program for every direction g
+    rng = np.random.default_rng(3)
+    for rows, limits in _vertex_problems():
+        for r, lim in ((rows, limits), (rows[1:], limits[1:])):
+            laws = discrete._vertices(r, lim)
+            assert np.all(laws >= 0.0) and np.allclose(laws.sum(axis=1), 1.0, atol=1e-15)
+            assert np.all(laws @ r.T <= lim + 1e-15)
+            for g in rng.normal(size=(3, rows.shape[1])):
+                res = linprog(-g, A_ub=r, b_ub=lim, A_eq=np.ones((1, g.size)), b_eq=[1.0],
+                              bounds=[(0.0, None)] * g.size, method="highs")
+                if res.status == 2:
+                    assert laws.size == 0
+                    continue
+                assert res.status == 0
+                assert abs((laws @ g).max() + res.fun) < 1e-9, (rows, lim, g)
+
+
+def test_least_excess_law_matches_its_linear_program():
+    for rows, limits in _vertex_problems():
+        law = discrete._least_excess(rows, limits)
+        assert np.all(law >= 0.0) and abs(law.sum() - 1.0) < 1e-15
+        # min t over the simplex subject to rows @ p - t <= limits
+        n = rows.shape[1]
+        res = linprog(np.eye(n + 1)[n], A_ub=np.hstack([rows, -np.ones((2, 1))]), b_ub=limits,
+                      A_eq=[[1.0] * n + [0.0]], b_eq=[1.0],
+                      bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+        assert res.status == 0
+        assert abs((rows @ law - limits).max() - res.fun) < 1e-9, (rows, limits)
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    code = "import sys, cas_limits, cas_limits.cli; print('scipy' in sys.modules)"
+    # the package from the directory this suite imported it from
+    root = os.path.dirname(os.path.dirname(discrete.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------- rate-distortion
@@ -715,10 +791,16 @@ def test_min_total_distortion_rejects_a_bad_grid_before_any_solve(monkeypatch, g
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_constrained_capacity_rejects_non_finite_limits_before_any_solve(monkeypatch, name,
                                                                         value):
-    monkeypatch.setattr(discrete, "linprog", None)
+    monkeypatch.setattr(discrete, "estimate_costs", None)
     limits = {"d_s": 1.0, "budget": 1.0, name: value}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         constrained_capacity(binary_sensing_model(), **limits)
+
+
+def test_min_total_distortion_rejects_a_budget_below_every_cost():
+    model = binary_sensing_model(cost=(0.5, 1.0))
+    with pytest.raises(InfeasibleConstraint, match="below min resource cost 0.5"):
+        min_total_distortion(model, budget=0.4, grid=1e-2)
 
 
 def test_min_total_distortion_skips_infeasible_grid_points(monkeypatch):
