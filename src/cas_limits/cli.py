@@ -201,6 +201,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "iterations": res.iterations,
         "converged": res.converged,
         "stop": res.stop,
+        "fw_gap": res.fw_gap,
         "q_star": complex_to_pairs(res.q_star.q),
     }
     out = cfg.out_path(cfg.value("output", default="isac_optimize.json"))

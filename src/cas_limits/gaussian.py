@@ -211,15 +211,23 @@ def gram_spectrum(model: TrmModel, q: np.ndarray) -> np.ndarray:
     return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
 
 
-def water_level(floors: np.ndarray, total: float) -> float:
+def water_level(floors: np.ndarray, total):
     """The level L with sum_i max(L - floors_i, 0) = total, for total >= 0.
 
     With the floors sorted, L is (total + sum of the k lowest floors) / k for
-    the largest k whose level is not below the k-th floor.
+    the largest k whose level is not below the k-th floor; an infinite floor
+    never fills, and a row with no finite floor gets an infinite level. An
+    array of K totals, against one row of floors or a (K, L) array of rows,
+    gives the K levels from one (K, L) array of candidate levels.
     """
-    floors = np.sort(floors)
-    levels = (total + np.cumsum(floors)) / np.arange(1, floors.size + 1)
-    return float(levels[np.flatnonzero(levels >= floors)[-1]])
+    floors = np.sort(floors, axis=-1)
+    levels = (np.asarray(total)[..., None] + np.cumsum(floors, axis=-1)) / np.arange(
+        1, floors.shape[-1] + 1)
+    filled = (levels >= floors) & (floors < np.inf)
+    last = floors.shape[-1] - 1 - np.argmax(filled[..., ::-1], axis=-1)
+    if levels.ndim == 1:    # one total: plain indexing keeps the scalar call cheap
+        return float(levels[last])
+    return np.take_along_axis(levels, last[:, None], axis=-1)[:, 0]
 
 
 def reverse_waterfill(spectrum: np.ndarray, rate_budget: float) -> RwfResult:

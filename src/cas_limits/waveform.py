@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NonFiniteObjective
 from .gaussian import (
+    RANK_RTOL,
     GramMatrix,
     TrmModel,
     _error_covariance,
@@ -36,6 +37,7 @@ ARMIJO_C = 1e-4
 # why optimize_isac stopped; the first three count as converged
 STOP_REASONS = ("gradient", "ftol", "no_move", "line_search", "max_iter")
 CONVERGED_STOPS = STOP_REASONS[:3]
+_SPLIT_BLOCK = 256      # power splits scored per batch; bounds memory at any split_grid
 
 CSV_COLUMNS = [
     "snr_db",
@@ -57,7 +59,7 @@ class OptResult:
     ``q_star`` is a GramMatrix for the ISAC scheme and a (sensing, comm)
     pair for the separated-waveform scheme; ``rho`` is the SW power split.
     ``stop`` says why the ISAC descent ended (see ``STOP_REASONS``); it is
-    None for the SW grid scan.
+    None for the SW grid scan, as is ``fw_gap`` (see ``optimize_isac``).
     """
 
     q_star: GramMatrix | tuple[GramMatrix, GramMatrix]
@@ -67,6 +69,7 @@ class OptResult:
     converged: bool
     rho: float | None = None
     stop: str | None = None
+    fw_gap: float | None = None
 
 
 @dataclass
@@ -177,7 +180,10 @@ def optimize_isac(
     onto the feasible set, or without it from the uniform Gram (T P_T / N) I.
     ``stop`` records why the descent ended; the run counts as converged
     unless the line search failed through all its halvings or the
-    iteration cap was hit.
+    iteration cap was hit. ``fw_gap`` is the Frank-Wolfe gap at the result,
+    max over the feasible set S of Re tr(G (Q - S)) with G = ``_gradient``:
+    Re tr(G Q) - T P_T min(lambda_min(G), 0), zero only at a stationary
+    point. It is reported only; ``converged`` does not depend on it.
     """
     budget = model.trace_budget
     n = model.n
@@ -221,6 +227,7 @@ def optimize_isac(
         stop = "max_iter"
 
     point = evaluate_gram(model, qa)
+    g = _gradient(model, qa)
     return OptResult(
         q_star=GramMatrix(qa, trace_limit=budget),
         point=point,
@@ -228,22 +235,24 @@ def optimize_isac(
         iterations=it,
         converged=stop in CONVERGED_STOPS,
         stop=stop,
+        fw_gap=float(np.real(np.vdot(g, qa)) - budget * min(np.linalg.eigvalsh(g)[0], 0.0)),
     )
 
 
-def _waterfill_powers(lam: np.ndarray, scale: float, power: float) -> np.ndarray:
+def _waterfill_powers(lam: np.ndarray, scale: float, power) -> np.ndarray:
     """Water-filling powers with sum ``power`` on the PSD spectrum ``lam``.
 
-    Mode i gets max(level - 1/(scale lambda_i), 0), null modes get nothing;
-    ``water_level`` sets the level.
+    Mode i gets max(level - 1/(scale lambda_i), 0), null modes and a zero
+    power get nothing; ``water_level`` sets the level. K powers give K rows.
     """
     with np.errstate(divide="ignore", over="ignore"):
         floor = 1.0 / (scale * np.maximum(lam, 0.0))
     live = np.isfinite(floor)
-    if power <= 0 or not live.any():
-        return np.zeros(lam.size)
-    level = water_level(floor[live], power)
-    return np.where(live, np.maximum(level - floor, 0.0), 0.0)
+    power = np.asarray(power, dtype=np.float64)
+    if not live.any():
+        return np.zeros(power.shape + lam.shape)
+    level = np.expand_dims(water_level(floor[live], power), -1)
+    return np.where(live & (power[..., None] > 0), np.maximum(level - floor, 0.0), 0.0)
 
 
 def _waterfill(a: np.ndarray, scale: float, power: float) -> np.ndarray:
@@ -274,28 +283,39 @@ def _split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
     of Sigma_s (eigenvalues sigma_i) and H^H H (eta_i), so with powers p_s
     and p_c on those modes: d_s = M_s sum_i sigma_i / (s p_si sigma_i + 1),
     the block estimate spectrum is sigma_i - sigma_i / (s p_si sigma_i + 1),
-    and the mutual information is sum_i log(1 + c p_ci eta_i).
+    and the mutual information is sum_i log(1 + c p_ci eta_i). No floor
+    depends on rho, so a block of splits takes one ``water_level`` call per
+    Gram and one over the row-sorted -log estimate spectra, whose modes
+    below RANK_RTOL of the row's largest get an infinite floor.
     """
     budget = model.trace_budget
     s, c = model.t / model.noise_s, model.t / model.noise_c
     sigma = np.linalg.eigvalsh(model.sigma_s)
     eta = np.linalg.eigvalsh(model.h_c.conj().T @ model.h_c)
-    scores = np.empty(len(rhos))
-    for k, rho in enumerate(rhos):
-        p_s = _waterfill_powers(sigma, s, rho * budget)
-        p_c = _waterfill_powers(eta, c, (1.0 - rho) * budget)
+    scores = []
+    for block in np.split(rhos, range(_SPLIT_BLOCK, len(rhos), _SPLIT_BLOCK)):
+        p_s = _waterfill_powers(sigma, s, block * budget)
+        p_c = _waterfill_powers(eta, c, (1.0 - block) * budget)
         err = sigma / (s * p_s * sigma + 1.0)
-        mi = float(np.log1p(c * p_c * eta).sum())
-        rwf = reverse_waterfill(np.repeat(sigma - err, model.m_s), mi)
-        scores[k] = model.m_s * err.sum() + rwf.d_c
-    return scores
+        mi = np.log1p(c * p_c * eta).sum(axis=1)
+        lam = np.sort(np.repeat(sigma - err, model.m_s, axis=1), axis=1)[:, ::-1]
+        live = lam > RANK_RTOL * lam[:, :1]
+        floors = np.full(lam.shape, np.inf)
+        # the log of the live modes alone, as reverse_waterfill takes it: np.log with
+        # a where= mask can round differently, and the scores must match it exactly
+        floors[live] = -np.log(lam[live])
+        xi = np.exp(-water_level(floors, mi))[:, None]
+        d_c = np.where(live, np.minimum(lam, xi), 0.0).sum(axis=1)
+        scores.append(model.m_s * err.sum(axis=1) + d_c)
+    return np.concatenate(scores)
 
 
 def optimize_sw(model: TrmModel, split_grid: int = 101) -> OptResult:
     """Best separated-waveform design over a power-split grid.
 
-    Scores split_grid values of rho in [0, 1] with ``_split_scores`` and
-    returns ``sw_point`` at the split with the smallest total distortion.
+    Scores split_grid values of rho in [0, 1] with ``_split_scores``, a
+    batched pass per block of splits, and returns ``sw_point`` at the first
+    split with the smallest total distortion.
     """
     if split_grid < 2:
         raise ValueError("split_grid must be at least 2")

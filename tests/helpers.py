@@ -307,3 +307,49 @@ def bisection_rd_search(source, distortion, lo, hi, past, bound_gap, what: str):
     _warn(f"{what}: beta bisection stopped at beta in [{lo.beta:.12g}, {hi.beta:.12g}] "
           f"before its bounds met; bound gap {bound_gap(lo, hi):.3e}")
     return lo, hi
+
+
+# The separated-waveform split scan before it was batched: one pass per split,
+# two forward water-fillings and one reverse water-filling each, with the
+# scalar water level of that time. Kept, with its own level and masking, as
+# the oracle that ``waveform._split_scores`` must reproduce split for split.
+def _scalar_water_level(floors, total):
+    floors = np.sort(floors)
+    levels = (total + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    return float(levels[np.flatnonzero(levels >= floors)[-1]])
+
+
+def _scalar_waterfill_powers(lam, scale, power):
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = 1.0 / (scale * np.maximum(lam, 0.0))
+    live = np.isfinite(floor)
+    if power <= 0 or not live.any():
+        return np.zeros(lam.size)
+    level = _scalar_water_level(floor[live], power)
+    return np.where(live, np.maximum(level - floor, 0.0), 0.0)
+
+
+def _scalar_reverse_distortion(spectrum, rate):
+    lam = np.sort(spectrum)[::-1]
+    if lam.max(initial=0.0) <= 0.0:
+        return 0.0
+    live = lam > RANK_RTOL * lam.max()
+    xi = float(np.exp(-_scalar_water_level(-np.log(lam[live]), rate)))
+    return float(np.where(live, np.minimum(lam, xi), 0.0).sum())
+
+
+def loop_split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
+    """Separated-waveform total distortion at each power split, one split at a time."""
+    budget = model.trace_budget
+    s, c = model.t / model.noise_s, model.t / model.noise_c
+    sigma = np.linalg.eigvalsh(model.sigma_s)
+    eta = np.linalg.eigvalsh(model.h_c.conj().T @ model.h_c)
+    scores = np.empty(len(rhos))
+    for k, rho in enumerate(rhos):
+        p_s = _scalar_waterfill_powers(sigma, s, rho * budget)
+        p_c = _scalar_waterfill_powers(eta, c, (1.0 - rho) * budget)
+        err = sigma / (s * p_s * sigma + 1.0)
+        mi = float(np.log1p(c * p_c * eta).sum())
+        d_c = _scalar_reverse_distortion(np.repeat(sigma - err, model.m_s), mi)
+        scores[k] = model.m_s * err.sum() + d_c
+    return scores

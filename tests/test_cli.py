@@ -106,6 +106,7 @@ def test_trm_optimize_mode_with_generator(tmp_path):
     assert len(payload["q_star"]) == 2
     assert payload["stop"] in STOP_REASONS
     assert payload["converged"] == (payload["stop"] in CONVERGED_STOPS)
+    assert payload["fw_gap"] >= -1e-12
 
 
 def test_trm_sw_mode_with_model_file(tmp_path):

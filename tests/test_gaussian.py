@@ -228,12 +228,28 @@ def test_reverse_waterfill_spends_its_budget_exactly():
 @given(
     floors=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=12),
     total=st.floats(0.0, 100.0),
+    more=st.lists(st.floats(0.0, 100.0), max_size=5),
 )
-def test_water_level_meets_its_defining_equation(floors, total):
+def test_water_level_meets_its_defining_equation(floors, total, more):
     floors = np.array(floors)
     level = water_level(floors, total)
     filled = float(np.maximum(level - floors, 0.0).sum())
     assert abs(filled - total) <= 1e-12 * max(1.0, total, float(np.abs(floors).max()))
+    # an infinite floor never fills
+    assert water_level(np.append(floors, np.inf), total) == level
+    # an array of totals gives, row by row, the scalar call's level: against
+    # one shared row of floors, and against one row each, some ending in inf
+    totals = np.array([total] + more)
+    assert np.array_equal(water_level(floors, totals), [water_level(floors, x) for x in totals])
+    rows = floors * np.arange(1, totals.size + 1)[:, None]
+    rows[1::2, -1] = np.inf
+    assert np.array_equal(water_level(rows, totals),
+                          [water_level(r, x) for r, x in zip(rows, totals)])
+
+
+def test_water_level_of_a_row_without_finite_floors_is_infinite():
+    levels = water_level(np.array([[1.0, 2.0], [np.inf, np.inf]]), np.array([1.0, 1.0]))
+    assert levels[0] == 2.0 and levels[1] == np.inf
 
 
 def test_negative_rate_budget_rejected():

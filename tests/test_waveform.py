@@ -39,6 +39,7 @@ from helpers import (
     crossover_trm_model,
     fd_gradient,
     grad_to_param,
+    loop_split_scores,
     scalar_trm_model,
 )
 
@@ -160,6 +161,25 @@ def test_gradient_matches_one_sided_differences_on_rank_deficient_grams():
         assert abs(got - expect) <= 1e-5 * abs(expect), seed
 
 
+def test_fw_gap_is_the_slope_along_the_frank_wolfe_direction():
+    # the gap is -d/dt f(Q + t (S - Q)) at t = 0, with S the linear oracle's
+    # vertex: T P_T v v^H for the eigenvector v of the least eigenvalue of G
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        model = random_trm_model(seed, n=n, m_s=1 + seed % 3, m_c=1 + seed % 4, t=2 * n + 2,
+                                 power=float(10 ** rng.uniform(-1, 2)))
+        res = optimize_isac(model, max_iter=300)
+        q, budget = res.q_star.q, model.trace_budget
+        assert res.fw_gap >= -1e-12, seed
+        lam, v = np.linalg.eigh(_gradient(model, q))
+        s = budget * np.outer(v[:, 0], v[:, 0].conj()) if lam[0] < 0 else 0.0 * q
+        t = 1e-5    # one-sided, second order: O(t^2) truncation
+        f0, f1, f2 = (evaluate_gram(model, q + k * t * (s - q)).d_total for k in range(3))
+        slope = (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * t)
+        assert abs(slope + res.fw_gap) <= 1e-4 * res.fw_gap, seed
+
+
 def test_stop_reasons():
     assert optimize_isac(scalar_trm_model(power=1.0, t=4)).stop in CONVERGED_STOPS
     model = crossover_trm_model()
@@ -243,6 +263,15 @@ def test_comm_waterfilling_two_mode_closed_form():
     assert np.real(np.trace(q)) == pytest.approx(power, abs=1e-12)
 
 
+def test_zero_power_fills_nothing_on_tied_floors():
+    # three floors of 0.1: the level of all three at total 0 rounds to
+    # 0.1 + 2e-17, so only the zero-power rule keeps the powers exactly 0
+    powers = waveform._waterfill_powers(np.full(3, 10.0), 1.0, np.array([0.0, 0.3]))
+    assert np.all(powers[0] == 0.0)
+    assert np.allclose(powers[1], 0.1, rtol=1e-15)
+    assert np.all(waveform._waterfill_powers(np.full(3, 10.0), 1.0, 0.0) == 0.0)
+
+
 def test_sensing_waterfilling_spends_the_power():
     model = random_trm_model(12, n=3, m_s=2, m_c=2, t=8)
     q = _waterfill(model.sigma_s, model.t / model.noise_s, 1.5)
@@ -260,24 +289,48 @@ def test_optimal_split_beats_the_endpoints():
     assert 0.0 <= res.rho <= 1.0
 
 
-def test_split_scores_match_sw_point():
+def _split_models():
+    """40 random models with mixed shapes and noise, then two with a zero channel.
+
+    Odd seeds draw the prior's rank (12 of the 40 priors are rank-deficient);
+    18 of the 40 models have m_c < n.
+    """
     for seed in range(40):
         rng = np.random.default_rng(3000 + seed)
         n, m_s, m_c, _ = _random_shape(rng)
-        # odd seeds draw the prior's rank (12 of the 40 priors are rank-deficient);
-        # 18 of the models have m_c < n
         rank = int(rng.integers(1, n + 1)) if seed % 2 else n
-        model = TrmModel(
+        yield TrmModel(
             sigma_s=_random_psd(rng, n, rank, float(n)),
             h_c=(rng.standard_normal((m_c, n)) + 1j * rng.standard_normal((m_c, n))) / np.sqrt(2),
             noise_s=float(rng.uniform(0.5, 2.0)), noise_c=float(rng.uniform(0.5, 2.0)),
             t=2 * n, m_s=m_s, power=float(10 ** rng.uniform(-1, 3)),
         )
+    rng = np.random.default_rng(3040)
+    for n, rank in ((3, 3), (4, 2)):
+        yield TrmModel(sigma_s=_random_psd(rng, n, rank, float(n)), h_c=np.zeros((2, n)),
+                       noise_s=1.0, noise_c=1.0, t=2 * n, m_s=2, power=1.0)
+
+
+def test_split_scores_match_sw_point():
+    for seed, model in enumerate(_split_models()):
         rhos = np.linspace(0.0, 1.0, 21)
         expect = np.array([sw_point(model, float(rho))[0].d_total for rho in rhos])
         assert np.allclose(_split_scores(model, rhos), expect, rtol=1e-10, atol=0.0), seed
         res = optimize_sw(model, split_grid=21)
         assert res.point == sw_point(model, res.rho)[0]
+
+
+def test_split_scores_match_the_per_split_loop():
+    # grids of 2 points, 21 points, and two full blocks and a part of a third;
+    # each grid holds both ends, rho = 0 and rho = 1
+    grids = (2, 21, 2 * waveform._SPLIT_BLOCK + 3)
+    for k, model in enumerate(_split_models()):
+        rhos = np.linspace(0.0, 1.0, grids[k % 3])
+        expect = loop_split_scores(model, rhos)
+        got = _split_scores(model, rhos)
+        assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect)), k
+        assert np.argmin(got) == np.argmin(expect), k
+        assert optimize_sw(model, split_grid=rhos.size).rho == rhos[np.argmin(expect)], k
 
 
 def test_split_grid_validation():
