@@ -20,7 +20,6 @@ from . import discrete, simulate, waveform
 from .errors import CasError, ConfigError
 from .gaussian import GramMatrix, TrmModel, channel_mi, random_trm_model, waveform_from_gram
 from .modelio import (
-    atomic_write_file,
     complex_to_pairs,
     convert,
     finite,
@@ -251,7 +250,7 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
     )
     out_csv = cfg.out_path(cfg.value("output_csv", default="sweep.csv"))
     out_json = cfg.out_path(cfg.value("output_json", default="sweep.json"))
-    atomic_write_file(lambda p: waveform.write_curve_csv(curve, p), out_csv)
+    waveform.write_curve_csv(curve, out_csv)
     waveform.write_curve_json(curve, out_json)
     print(f"{'snr_db':>8} {'scheme':>6} {'d_total':>12} {'converged':>9}")
     for row in waveform.curve_rows(curve):

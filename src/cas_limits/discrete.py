@@ -364,7 +364,7 @@ def constrained_capacity(
     rows, limits = rows[varies], limits[varies]
     base = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1)
     oracle = _capacity_oracle(w, base)
-    p = _certified_ba(lambda max_iter: ba_capacity(w, BA_TOL, max_iter),
+    p = _certified_ba(lambda max_iter: ba_capacity(w, base, BA_TOL, max_iter),
                       lambda p: _simplex_newton(p, oracle, BA_TOL), BA_TOL, "constrained_capacity")
     if np.any(rows @ p > limits):
         laws = _vertices(rows, limits)
@@ -423,9 +423,15 @@ def _rd_ends(source: np.ndarray, distortion: np.ndarray) -> tuple[_RdPoint, _RdP
 def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoint:
     """Certified Blahut-Arimoto point of the R(D) curve at slope -beta.
 
-    ``a`` is shifted per row as in ``ba_rate_distortion``, so the oracle's
-    value is the dual objective less beta * (p @ min_j d); the tangent adds
-    that back.
+    On the rows of positive source mass, a = exp(-beta * (d - min_j d)):
+    each row is shifted by its least distortion, so it keeps an entry of 1
+    however large beta is, and the shift scales the row, which leaves the
+    update and the test channel unchanged. Blahut-Arimoto, or the Newton
+    polish it hands over to, certifies the output law q, and
+    ``rd_channel`` turns q into the test channel. The polish starts, and
+    the tangent is taken, at the output law of the test channel of the q
+    in hand, one Blahut-Arimoto step past q; the oracle's value is the
+    dual objective less beta * (p @ min_j d), which the tangent adds back.
     """
     active = source > 0.0
     pa = source[active]
@@ -437,19 +443,13 @@ def _rd_point(source: np.ndarray, distortion: np.ndarray, beta: float) -> _RdPoi
         c = a @ q + _LOG_FLOOR
         return pa @ np.log(c), (pa / c) @ a, -(a.T * (pa / c**2)) @ a
 
-    def kernel(max_iter):
-        cond, rate, dist, iterations = ba_rate_distortion(
-            source, distortion, beta, RD_BA_TOL, max_iter
-        )
-        return (cond, rate, dist), iterations
-
-    def polish(point):
-        q, gap = _simplex_newton(source @ point[0], oracle, RD_BA_TOL)
-        return rd_channel(source, distortion, beta, a, q), gap
-
-    cond, rate, dist = _certified_ba(
-        kernel, polish, RD_BA_TOL, f"rate-distortion at beta={beta:.12g}"
+    q = _certified_ba(
+        lambda max_iter: ba_rate_distortion(pa, a, RD_BA_TOL, max_iter),
+        lambda q: _simplex_newton(pa @ (q * a / (a @ q + _LOG_FLOOR)[:, None]), oracle,
+                                  RD_BA_TOL),
+        RD_BA_TOL, f"rate-distortion at beta={beta:.12g}",
     )
+    cond, rate, dist = rd_channel(source, distortion, beta, a, q)
     value, grad, _ = oracle(source @ cond)
     lower = -value - math.log(max(float(grad.max()), _LOG_FLOOR)) + beta * float(pa @ row_min)
     return _RdPoint(beta, cond, rate, dist, lower)

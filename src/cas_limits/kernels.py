@@ -1,27 +1,30 @@
-"""Blahut-Arimoto iterations for capacity and rate-distortion, in NumPy."""
+"""Blahut-Arimoto iterations for capacity and rate-distortion, in NumPy.
+
+Each kernel is a bare loop on the arrays its solver in ``discrete`` builds
+once per solve, and returns its last iterate with the iteration count.
+"""
 
 import numpy as np
 
 _LOG_FLOOR = 1e-300
 
 
-def ba_capacity(w, tol=1e-12, max_iter=100_000):
+def ba_capacity(w, base, tol, max_iter):
     """Blahut-Arimoto input-distribution update.
 
-    Maximizes I(p; w) over the simplex, where w[x, y] is the channel law.
-    Convergence is certified by the gap between the standard per-iteration
-    upper and lower bounds on the capacity.
+    Maximizes I(p; w) = p @ base - H(p @ w) over the simplex, where w[x, y]
+    is the channel law and base[x] = sum_y w log w. The run stops once the
+    gap between the standard per-iteration upper and lower bounds on the
+    capacity is below ``tol``, or after ``max_iter`` iterations.
 
     Returns (p, iterations).
     """
-    w = np.ascontiguousarray(w, dtype=np.float64)
     nx = w.shape[0]
     p = np.full(nx, 1.0 / nx)
-    wlogw = np.where(w > 0.0, w * np.log(w + _LOG_FLOOR), 0.0).sum(axis=1)
     it = 0
     for it in range(1, max_iter + 1):
         py = p @ w
-        score = wlogw - w @ np.log(py + _LOG_FLOOR)
+        score = base - w @ np.log(py + _LOG_FLOOR)
         m = score.max()
         r = p * np.exp(score - m)
         s = r.sum()
@@ -32,26 +35,17 @@ def ba_capacity(w, tol=1e-12, max_iter=100_000):
     return p, it
 
 
-def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
-    """Blahut-Arimoto rate-distortion point at slope parameter beta.
+def ba_rate_distortion(pa, a, tol, max_iter):
+    """Blahut-Arimoto output-law update at one slope of the R(D) curve.
 
-    Minimizes I + beta * E[d] over test channels for source p and
-    distortion matrix d[i, j]. Zero-mass source rows are excluded from
-    the iteration and returned as point masses on their cheapest column.
-    Each row is shifted by its least distortion before the exponential,
-    a = exp(-beta * (d - min_j d)), so that every row of ``a`` keeps an
-    entry of 1 however large beta is; the shift scales a row and leaves
-    the update and the test channel unchanged.
+    ``pa`` is the source mass on the letters where it is positive and
+    ``a`` the row-shifted exponent of the distortion on those rows, as
+    ``_rd_point`` builds them. The run stops once the dual gap
+    log(max_j g_j) is below ``tol``, or after ``max_iter`` iterations.
 
-    Returns (cond, rate, dist, iterations) with cond[i, j] = P(j | i).
+    Returns (q, iterations), q the output law.
     """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    n = d.shape[1]
-    active = p > 0.0
-    pa = p[active]
-    da = d[active]
-    a = np.exp(-beta * (da - da.min(axis=1, keepdims=True)))
+    n = a.shape[1]
     q = np.full(n, 1.0 / n)
     it = 0
     for it in range(1, max_iter + 1):
@@ -61,15 +55,15 @@ def ba_rate_distortion(p, d, beta, tol=1e-13, max_iter=100_000):
         q /= q.sum()
         if np.log(max(g.max(), _LOG_FLOOR)) < tol:
             break
-    return (*rd_channel(p, d, beta, a, q), it)
+    return q, it
 
 
 def rd_channel(p, d, beta, a, q):
     """Test channel that the output law q induces at slope parameter beta.
 
-    ``a`` is exp(-beta * (d - min_j d)) on the rows where p > 0, each row
-    shifted by its least distortion as in ``ba_rate_distortion``.
-    Zero-mass source rows are point masses on their cheapest column.
+    ``a`` is the row-shifted exponent on the rows where p > 0, as
+    ``_rd_point`` builds it. Zero-mass source rows are point masses on
+    their cheapest column.
 
     Returns (cond, rate, dist) with cond[i, j] = P(j | i).
     """

@@ -27,7 +27,7 @@ from .gaussian import (
     sensing_mse,
     water_level,
 )
-from .modelio import write_json
+from .modelio import atomic_write_file, write_json
 from .types import TradeoffPoint
 
 FTOL = 1e-8             # stop when the objective drops less than this over WINDOW
@@ -404,16 +404,21 @@ def curve_rows(curve: SweepCurve) -> list[dict]:
 
 
 def write_curve_csv(curve: SweepCurve, path) -> None:
+    """Write the sweep rows to ``path`` as CSV, atomically."""
     rows = curve_rows(curve)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key, val in out.items():
-                if isinstance(val, float):
-                    out[key] = format(val, ".17g")
-            writer.writerow(out)
+
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            for row in rows:
+                out = dict(row)
+                for key, val in out.items():
+                    if isinstance(val, float):
+                        out[key] = format(val, ".17g")
+                writer.writerow(out)
+
+    atomic_write_file(write, path)
 
 
 def read_curve_csv(path) -> list[dict]:

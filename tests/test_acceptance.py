@@ -18,7 +18,6 @@ from cas_limits import (
     min_total_distortion,
     mutual_information,
     optimize_isac,
-    optimize_sw,
     random_trm_model,
     rate_distortion_discrete,
     reverse_waterfill,

@@ -519,9 +519,9 @@ def test_wide_rate_distortion_certifies_without_full_reruns(monkeypatch):
     caps = []
     kernel = discrete.ba_rate_distortion
 
-    def counted(source, distortion, beta, tol, max_iter):
+    def counted(pa, a, tol, max_iter):
         caps.append(max_iter)
-        return kernel(source, distortion, beta, tol, max_iter)
+        return kernel(pa, a, tol, max_iter)
 
     monkeypatch.setattr(discrete, "ba_rate_distortion", counted)
     with warnings.catch_warnings():
@@ -671,6 +671,42 @@ def test_uncertified_answers_warn(monkeypatch):
     assert any("beta=" in m and "stopped at 3 iterations" in m for m in messages)
     # uncertified points leave the bounds of both searches apart
     assert sum("before its bounds met" in m for m in messages) == 2
+
+
+def test_unpolished_handoffs_fall_back_to_certified_full_runs(monkeypatch):
+    # With no Newton steps no hand-off can be polished, so each one must be
+    # finished by a BA_MAX_ITER run that certifies on its own.
+    rng = np.random.default_rng(1)
+    model = random_finite_model(rng, n_x=int(rng.integers(3, 5)), n_y=int(rng.integers(2, 4)))
+    limits = float(estimate_costs(model).max()), float(model.cost.max())
+    sources = [_panel_source(seed, m) for seed, m in ((0, 3), (1, 5), (2, 8))]
+    targets = [0.5 * float((src @ dist).min()) for src, dist in sources]
+
+    def solve():
+        capacity, px = constrained_capacity(model, *limits)
+        rd = [rate_distortion_discrete(src, dist, d_c) for (src, dist), d_c in zip(sources, targets)]
+        return capacity, px.probs, rd
+
+    expect = solve()
+    caps = {"ba_capacity": [], "ba_rate_distortion": []}
+    for name, seen in caps.items():
+        kernel = getattr(discrete, name)
+
+        def counted(x, y, tol, max_iter, kernel=kernel, seen=seen):
+            seen.append(max_iter)
+            return kernel(x, y, tol, max_iter)
+
+        monkeypatch.setattr(discrete, name, counted)
+    monkeypatch.setattr(discrete, "_NEWTON_STEPS", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        got = solve()
+    assert all(discrete.BA_MAX_ITER in seen for seen in caps.values())
+    assert abs(got[0] - expect[0]) < 1e-10
+    assert np.abs(got[1] - expect[1]).max() < 1e-10
+    for (rate, cond), (rate0, cond0) in zip(got[2], expect[2]):
+        assert abs(rate - rate0) < 1e-10
+        assert np.abs(cond - cond0).max() < 1e-10
 
 
 def test_beta_cap_warns(monkeypatch):

@@ -12,7 +12,6 @@ import pytest
 from cas_limits import (
     channel_mi,
     random_trm_model,
-    sensing_mse,
     simulate_end_to_end,
     simulate_sensing,
 )

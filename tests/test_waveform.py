@@ -9,11 +9,9 @@ import pytest
 from cas_limits import (
     NonFiniteObjective,
     TrmModel,
-    channel_mi,
     optimize_isac,
     optimize_sw,
     random_trm_model,
-    reverse_waterfill,
     sensing_mse,
     sweep_snr,
 )
@@ -333,6 +331,19 @@ def test_split_scores_match_the_per_split_loop():
         assert optimize_sw(model, split_grid=rhos.size).rho == rhos[np.argmin(expect)], k
 
 
+def test_summed_sw_grams_do_no_worse_as_one_isac_gram():
+    # one Gram Q_s + Q_c sends and senses with both parts at once; on these
+    # models it never scores above the separated design it came from
+    rng = np.random.default_rng(18)
+    for seed in range(60):
+        n, m_s, m_c = (int(k) for k in rng.integers(1, (6, 5, 5)))
+        model = random_trm_model(seed, n=n, m_s=m_s, m_c=m_c, t=2 * n,
+                                 power=float(10 ** rng.uniform(-1.5, 2.0)))
+        sw = optimize_sw(model, split_grid=51)
+        joint = evaluate_gram(model, sw.q_star[0].q + sw.q_star[1].q)
+        assert joint.d_total <= sw.point.d_total + 1e-12, seed
+
+
 def test_split_grid_validation():
     model = scalar_trm_model()
     with pytest.raises(ValueError):
@@ -421,6 +432,21 @@ def test_curve_csv_round_trip(tmp_path):
                 assert a[key] == b[key]
             else:
                 assert a[key] == pytest.approx(b[key], abs=0.0)
+
+
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    model = random_trm_model(16, n=2, m_s=2, m_c=2, t=4)
+    curve = sweep_snr(model, [0.0], split_grid=11, max_iter=100)
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve, path)
+    before = path.read_bytes()
+    rows = curve_rows(curve)
+    # the header and the first row are written before the row with a field outside CSV_COLUMNS
+    monkeypatch.setattr(waveform, "curve_rows", lambda _: [rows[0], {**rows[1], "bad": 1.0}])
+    with pytest.raises(ValueError):
+        write_curve_csv(curve, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_curve_json_contains_all_rows(tmp_path):
