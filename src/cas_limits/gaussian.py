@@ -132,21 +132,37 @@ class RwfResult:
     rate: float
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _per_gram(x):
+    """A float for one Gram, the array for a stack of them."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _error_covariance(model: TrmModel, q: np.ndarray) -> np.ndarray:
-    """Per-block MMSE error covariance Sigma (scale Q Sigma + I)^-1, scale = T / sigma_s^2."""
+    """Per-block MMSE error covariance Sigma (scale Q Sigma + I)^-1, scale = T / sigma_s^2.
+
+    ``q`` is one N x N Gram or a (K, N, N) stack; each matrix is solved on its own.
+    """
     scale = model.t / model.noise_s
     a = scale * q @ model.sigma_s + np.eye(model.n)
-    return np.linalg.solve(a.T, model.sigma_s.T).T
+    # a stack gets a (1, N, N) right-hand side: NumPy < 2 reads a 2-D one as vectors
+    b = model.sigma_s.T if a.ndim == 2 else model.sigma_s.T[None]
+    return np.linalg.solve(a.swapaxes(-1, -2), b).swapaxes(-1, -2)
 
 
-def sensing_mse(model: TrmModel, q: np.ndarray) -> float:
+def sensing_mse(model: TrmModel, q: np.ndarray):
     """MSE of the MMSE estimate of the vectorized TRM for Gram matrix q.
 
     Uses the inverse-free form M_s Tr[Sigma (scale Q Sigma + I)^-1] with
     scale = T / sigma_s^2, valid for rank-deficient priors as well; agrees
-    with the direct prior-inverse form whenever that one is defined.
+    with the direct prior-inverse form whenever that one is defined. One
+    Gram gives a float, a (K, N, N) stack the K values.
     """
-    return float(model.m_s * np.real(np.trace(_error_covariance(model, q))))
+    return _per_gram(model.m_s * _error_covariance(model, q).trace(axis1=-2, axis2=-1).real)
 
 
 def sensing_mse_direct(model: TrmModel, q: np.ndarray) -> float:
@@ -185,11 +201,11 @@ def _block_covariance_from_waveform(model: TrmModel, x: np.ndarray) -> np.ndarra
 def _block_covariance_from_gram(model: TrmModel, q: np.ndarray) -> np.ndarray:
     """Per-block estimate covariance Sigma - (scale Q + Sigma^-1)^-1 from Q."""
     block = model.sigma_s - _error_covariance(model, q)
-    return 0.5 * (block + block.conj().T)
+    return 0.5 * (block + _adjoint(block))
 
 
 def _expanded_spectrum(model: TrmModel, block: np.ndarray) -> np.ndarray:
-    return np.repeat(np.maximum(np.linalg.eigvalsh(block)[::-1], 0.0), model.m_s)
+    return np.repeat(np.maximum(np.linalg.eigvalsh(block)[..., ::-1], 0.0), model.m_s, axis=-1)
 
 
 def estimate_covariance(model: TrmModel, x: np.ndarray) -> np.ndarray:
@@ -206,7 +222,8 @@ def gram_spectrum(model: TrmModel, q: np.ndarray) -> np.ndarray:
     """Estimate-covariance spectrum computed directly from the Gram matrix q.
 
     The same array as ``estimate_covariance`` returns for any waveform with
-    Gram q: N M_s eigenvalues, clipped at 0, descending.
+    Gram q: N M_s eigenvalues, clipped at 0, descending. A (K, N, N) stack
+    gives one such row per Gram.
     """
     return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
 
@@ -230,6 +247,25 @@ def water_level(floors: np.ndarray, total):
     return np.take_along_axis(levels, last[:, None], axis=-1)[:, 0]
 
 
+def _reverse_allocations(spectra: np.ndarray, rates):
+    """Reverse water-filling of each row of ``spectra`` at its rate, in the log domain.
+
+    Each row is sorted descending; its modes at or below RANK_RTOL of its
+    largest are dead, with an infinite floor and no allocation, and the
+    others have floor -log lambda_i. Returns the water level (a float for
+    one row, K levels for a (K, L) stack, from one ``water_level`` call),
+    the floors, and the allocations min(lambda_i, xi) with xi = exp(-level).
+    """
+    lam = np.sort(spectra, axis=-1)[..., ::-1]
+    live = lam > RANK_RTOL * lam[..., :1]
+    floors = np.full(lam.shape, np.inf)
+    # the log of the live modes alone: np.log with a where= mask can round differently
+    floors[live] = -np.log(lam[live])
+    level = water_level(floors, rates)
+    xi = np.exp(-np.asarray(level))[..., None]
+    return level, floors, np.where(live, np.minimum(lam, xi), 0.0)
+
+
 def reverse_waterfill(spectrum: np.ndarray, rate_budget: float) -> RwfResult:
     """Distortion-minimizing rate allocation over Gaussian source modes.
 
@@ -241,36 +277,30 @@ def reverse_waterfill(spectrum: np.ndarray, rate_budget: float) -> RwfResult:
     xi = exp(-water_level(-log lambda, rate_budget)). Modes below RANK_RTOL
     of the largest eigenvalue carry no rate and no distortion.
     """
-    lam = np.sort(np.asarray(spectrum, dtype=np.float64))[::-1]
+    spectrum = np.asarray(spectrum, dtype=np.float64)
     if rate_budget < 0:
         raise ValueError("rate_budget must be nonnegative")
-    if lam.size == 0 or lam.max(initial=0.0) <= 0.0:
-        return RwfResult(xi=0.0, d_c=0.0, allocations=np.zeros(lam.size), rate=0.0)
-    live = lam > RANK_RTOL * lam.max()
-    floors = -np.log(lam[live])
-    level = water_level(floors, rate_budget)
-    xi = float(np.exp(-level))
-    allocations = np.where(live, np.minimum(lam, xi), 0.0)
+    if spectrum.size == 0 or spectrum.max(initial=0.0) <= 0.0:
+        return RwfResult(xi=0.0, d_c=0.0, allocations=np.zeros(spectrum.size), rate=0.0)
+    level, floors, allocations = _reverse_allocations(spectrum, rate_budget)
     return RwfResult(
-        xi=xi,
+        xi=float(np.exp(-level)),
         d_c=float(allocations.sum()),
         allocations=allocations,
-        rate=float(np.maximum(level - floors, 0.0).sum()),
+        rate=float(np.maximum(level - floors[floors < np.inf], 0.0).sum()),
     )
 
 
-def channel_mi(model: TrmModel, q: np.ndarray) -> float:
+def channel_mi(model: TrmModel, q: np.ndarray):
     """Gaussian-input mutual information log det((T/sigma_c^2) H Q H^H + I).
 
     The identity has the receive dimension M_c (the dimensionally
-    consistent choice).
+    consistent choice). One Gram gives a float, a (K, N, N) stack the K
+    values.
     """
     a = (model.t / model.noise_c) * model.h_c @ q @ model.h_c.conj().T + np.eye(model.m_c)
-    a = 0.5 * (a + a.conj().T)
-    sign, logdet = np.linalg.slogdet(a)
-    if sign.real <= 0:
-        return 0.0
-    return float(max(0.0, logdet))
+    sign, logdet = np.linalg.slogdet(0.5 * (a + _adjoint(a)))
+    return _per_gram(np.where((sign.real > 0) & (logdet > 0.0), logdet, 0.0))
 
 
 def random_trm_model(

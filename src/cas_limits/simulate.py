@@ -14,7 +14,6 @@ calibration test in the suite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +188,10 @@ def _trial_loop(chain: _Chain, n_trials, seed, fh=None) -> dict:
     one before it. Only the helper touches the generator, so the draws come in
     the serial order and the results are bit-identical to a serial loop.
     """
+    # imported here, not at module level: it pulls in logging, and a fresh
+    # ``import cas_limits`` should not pay for that when it runs no trials
+    from concurrent.futures import ThreadPoolExecutor
+
     sums = dict.fromkeys(["d_s", "d_s2", "d_c", "d_c2", "d", "d2", "x", "x2"], 0.0)
     m_s, n, t = chain.dims
     scratch = np.empty(2 * min(_BATCH, n_trials) * m_s * max(n, t))

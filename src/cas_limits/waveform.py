@@ -11,16 +11,19 @@ the prior and of the channel Gram.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteObjective
 from .gaussian import (
-    RANK_RTOL,
     GramMatrix,
     TrmModel,
+    _adjoint,
     _error_covariance,
+    _per_gram,
+    _reverse_allocations,
     channel_mi,
     gram_spectrum,
     reverse_waterfill,
@@ -34,6 +37,9 @@ FTOL = 1e-8             # stop when the objective drops less than this over WIND
 WINDOW = 5
 MAX_ITER = 2000
 ARMIJO_C = 1e-4
+HALVINGS = 60           # a line search tries the steps step 2^-k for k < HALVINGS
+_CHUNKS = (1, 4, 16, 39)  # candidates per stacked evaluation, in order; they sum to HALVINGS
+_HALVES = 0.5 ** np.arange(HALVINGS)
 # why optimize_isac stopped; the first three count as converged
 STOP_REASONS = ("gradient", "ftol", "no_move", "line_search", "max_iter")
 CONVERGED_STOPS = STOP_REASONS[:3]
@@ -110,15 +116,20 @@ def evaluate_gram(
     )
 
 
-def _objective(model: TrmModel, qa: np.ndarray) -> float:
-    val = evaluate_gram(model, qa).d_total
-    if not np.isfinite(val):
-        raise NonFiniteObjective("objective evaluated to a non-finite value")
-    return val
+def _objective(model: TrmModel, qa: np.ndarray):
+    """D_s + D_c of the Gram ``qa``, or of each Gram in a (K, N, N) stack.
+
+    The same closed forms as ``evaluate_gram``'s ``d_total``, with the
+    reverse water-filling of all the estimate spectra in one batched pass.
+    Non-finite values are returned as they are; the line search checks them
+    in the order it tries the candidates.
+    """
+    d_c = _reverse_allocations(gram_spectrum(model, qa), channel_mi(model, qa))[2].sum(axis=-1)
+    return _per_gram(sensing_mse(model, qa) + d_c)
 
 
 def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
-    """Map an iterate back into {Q PSD, Tr Q <= budget}.
+    """Map an iterate, or each matrix of a (K, N, N) stack, back into {Q PSD, Tr Q <= budget}.
 
     Negative eigenvalues are clipped to zero, then the matrix is rescaled
     when the trace cap still binds. The rescaling is deliberate: it keeps
@@ -126,13 +137,42 @@ def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
     solver toward evenly loaded subspaces. That is the behavior the
     high-SNR baseline comparison depends on; see the sweep tests.
     """
-    qa = 0.5 * (qa + qa.conj().T)
-    vals, vecs = np.linalg.eigh(qa)
+    vals, vecs = np.linalg.eigh(0.5 * (qa + _adjoint(qa)))
     vals = np.maximum(vals, 0.0)
-    total = vals.sum()
-    if total > trace_budget:
-        vals *= trace_budget / total
-    return (vecs * vals) @ vecs.conj().T
+    # a factor of exactly 1 where the cap does not bind
+    vals = vals * (trace_budget / np.maximum(vals.sum(axis=-1, keepdims=True), trace_budget))
+    return (vecs * vals[..., None, :]) @ _adjoint(vecs)
+
+
+def _backtrack(model: TrmModel, qa, f, direction, step, tiny):
+    """Armijo backtracking from ``qa`` along -``direction`` over the steps step 2^-k, k < HALVINGS.
+
+    The candidates are projected and scored in stacks of ``_CHUNKS`` sizes,
+    and each stack is scanned in order, so the search ends where trying one
+    step at a time would: at the first candidate that moves less than
+    ``tiny`` in squared norm ("no_move"), or that passes the
+    gradient-mapping Armijo test, a decrease of at least ARMIJO_C / step
+    times the squared move (stop None). A non-finite objective raises
+    NonFiniteObjective only at a candidate the scan reaches. Returns
+    (stop, Q, f, step), with stop "line_search" when no candidate ends the
+    search, and Q and f unchanged unless a step was accepted.
+    """
+    start = 0
+    for size in _CHUNKS:
+        chunk = step * _HALVES[start:start + size]    # exact: scaling by powers of 2
+        cands = _project(qa - chunk[:, None, None] * direction, model.trace_budget)
+        move2 = np.sum(np.abs(cands - qa) ** 2, axis=(1, 2))
+        # the scan in Python floats: the same IEEE arithmetic, without NumPy scalars
+        scan = zip(chunk.tolist(), move2.tolist(), _objective(model, cands).tolist())
+        for k, (t, m2, f_new) in enumerate(scan):
+            if m2 < tiny:
+                return "no_move", qa, f, t
+            if not math.isfinite(f_new):
+                raise NonFiniteObjective("objective evaluated to a non-finite value")
+            if f_new <= f - (ARMIJO_C / t) * m2:
+                return None, cands[k], f_new, t
+        start += size
+    return "line_search", qa, f, step
 
 
 def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
@@ -174,7 +214,11 @@ def optimize_isac(
     Projected gradient descent with the closed-form gradient of ``_gradient``
     and Armijo backtracking. The step Q - step (2G - Diag G) is the gradient
     step of the real parameter vector (diagonal, real and imaginary upper
-    triangle) of Q. The problem is non-convex, so the result is a local
+    triangle) of Q. Each line search tries the steps step 2^-k, k < HALVINGS,
+    as ``_backtrack`` does: projected and scored in stacks of 1, 4, 16 and
+    39, so a search that accepts its first step costs one evaluation, and
+    scanned in order, so the descent takes the path of trying one step at a
+    time. The problem is non-convex, so the result is a local
     optimum; small-dimension grid oracles anchor correctness in the tests.
     The descent starts from ``init``, an N x N Hermitian array projected
     onto the feasible set, or without it from the uniform Gram (T P_T / N) I.
@@ -193,6 +237,8 @@ def optimize_isac(
     scale = max(budget / n, 1e-12)
 
     f = _objective(model, qa)
+    if not np.isfinite(f):
+        raise NonFiniteObjective("objective evaluated to a non-finite value")
     history = [f]
     step = scale
     it = 0
@@ -203,22 +249,10 @@ def optimize_isac(
             stop = "gradient"
             break
         step = min(step * 2.0, 1e6 * scale)
-        stop = "line_search"
-        for _ in range(60):
-            qa_new = _project(qa - step * direction, budget)
-            move2 = float(np.sum(np.abs(qa_new - qa) ** 2))
-            if move2 < 1e-30 * max(1.0, scale**2):
-                stop = "no_move"
-                break
-            f_new = _objective(model, qa_new)
-            # gradient-mapping Armijo: decrease proportional to actual movement
-            if f_new <= f - (ARMIJO_C / step) * move2:
-                stop = None
-                break
-            step *= 0.5
+        stop, qa, f, step = _backtrack(
+            model, qa, f, direction, step, 1e-30 * max(1.0, scale**2))
         if stop is not None:
             break
-        qa, f = qa_new, f_new
         history.append(f)
         if len(history) > WINDOW and history[-1 - WINDOW] - f < FTOL:
             stop = "ftol"
@@ -285,8 +319,7 @@ def _split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
     the block estimate spectrum is sigma_i - sigma_i / (s p_si sigma_i + 1),
     and the mutual information is sum_i log(1 + c p_ci eta_i). No floor
     depends on rho, so a block of splits takes one ``water_level`` call per
-    Gram and one over the row-sorted -log estimate spectra, whose modes
-    below RANK_RTOL of the row's largest get an infinite floor.
+    Gram and one batched reverse water-filling of all the estimate spectra.
     """
     budget = model.trace_budget
     s, c = model.t / model.noise_s, model.t / model.noise_c
@@ -298,14 +331,7 @@ def _split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
         p_c = _waterfill_powers(eta, c, (1.0 - block) * budget)
         err = sigma / (s * p_s * sigma + 1.0)
         mi = np.log1p(c * p_c * eta).sum(axis=1)
-        lam = np.sort(np.repeat(sigma - err, model.m_s, axis=1), axis=1)[:, ::-1]
-        live = lam > RANK_RTOL * lam[:, :1]
-        floors = np.full(lam.shape, np.inf)
-        # the log of the live modes alone, as reverse_waterfill takes it: np.log with
-        # a where= mask can round differently, and the scores must match it exactly
-        floors[live] = -np.log(lam[live])
-        xi = np.exp(-water_level(floors, mi))[:, None]
-        d_c = np.where(live, np.minimum(lam, xi), 0.0).sum(axis=1)
+        d_c = _reverse_allocations(np.repeat(sigma - err, model.m_s, axis=1), mi)[2].sum(axis=1)
         scores.append(model.m_s * err.sum(axis=1) + d_c)
     return np.concatenate(scores)
 

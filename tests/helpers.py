@@ -16,12 +16,22 @@ from cas_limits.discrete import (
 )
 from cas_limits.gaussian import (
     RANK_RTOL,
+    GramMatrix,
     _block_covariance_from_waveform,
     mmse_filter,
     reverse_waterfill,
 )
+from cas_limits.errors import NonFiniteObjective
 from cas_limits.simulate import _BATCH
-from cas_limits.waveform import _objective
+from cas_limits.waveform import (
+    ARMIJO_C,
+    FTOL,
+    MAX_ITER,
+    WINDOW,
+    _gradient,
+    _objective,
+    evaluate_gram,
+)
 
 
 def random_rows(rng, shape):
@@ -353,3 +363,74 @@ def loop_split_scores(model: TrmModel, rhos: np.ndarray) -> np.ndarray:
         d_c = _scalar_reverse_distortion(np.repeat(sigma - err, model.m_s), mi)
         scores[k] = model.m_s * err.sum() + d_c
     return scores
+
+
+# The ISAC descent before its line search scored the backtracking steps in
+# stacks: one projection and one objective evaluation per step, in a Python
+# loop, on one Gram at a time. Kept, with its own projection and with
+# ``evaluate_gram`` as the objective, as the oracle that ``optimize_isac``
+# must reproduce bit for bit.
+def _one_gram_project(qa, trace_budget):
+    qa = 0.5 * (qa + qa.conj().T)
+    vals, vecs = np.linalg.eigh(qa)
+    vals = np.maximum(vals, 0.0)
+    total = vals.sum()
+    if total > trace_budget:
+        vals *= trace_budget / total
+    return (vecs * vals) @ vecs.conj().T
+
+
+def _one_gram_objective(model, qa):
+    val = evaluate_gram(model, qa).d_total
+    if not np.isfinite(val):
+        raise NonFiniteObjective("objective evaluated to a non-finite value")
+    return val
+
+
+def loop_optimize_isac(model: TrmModel):
+    """Projected gradient descent with one-step-at-a-time Armijo backtracking.
+
+    Returns the array of ``q_star``, the point, stop, iterations and fw_gap
+    as ``optimize_isac`` reports them, from the uniform start.
+    """
+    budget = model.trace_budget
+    n = model.n
+    qa = _one_gram_project((budget / n) * np.eye(n, dtype=np.complex128), budget)
+    scale = max(budget / n, 1e-12)
+
+    f = _one_gram_objective(model, qa)
+    history = [f]
+    step = scale
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        g = _gradient(model, qa)
+        direction = 2.0 * g - np.diag(np.diag(g))
+        if np.real(np.vdot(g, direction)) < 1e-30:
+            stop = "gradient"
+            break
+        step = min(step * 2.0, 1e6 * scale)
+        stop = "line_search"
+        for _ in range(60):
+            qa_new = _one_gram_project(qa - step * direction, budget)
+            move2 = float(np.sum(np.abs(qa_new - qa) ** 2))
+            if move2 < 1e-30 * max(1.0, scale**2):
+                stop = "no_move"
+                break
+            f_new = _one_gram_objective(model, qa_new)
+            if f_new <= f - (ARMIJO_C / step) * move2:
+                stop = None
+                break
+            step *= 0.5
+        if stop is not None:
+            break
+        qa, f = qa_new, f_new
+        history.append(f)
+        if len(history) > WINDOW and history[-1 - WINDOW] - f < FTOL:
+            stop = "ftol"
+            break
+    else:
+        stop = "max_iter"
+
+    g = _gradient(model, qa)
+    fw_gap = float(np.real(np.vdot(g, qa)) - budget * min(np.linalg.eigvalsh(g)[0], 0.0))
+    return GramMatrix(qa, trace_limit=budget).q, evaluate_gram(model, qa), stop, it, fw_gap

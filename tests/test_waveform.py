@@ -16,12 +16,14 @@ from cas_limits import (
     sweep_snr,
 )
 from cas_limits import waveform
-from cas_limits.gaussian import gram_spectrum
+from cas_limits.gaussian import channel_mi, gram_spectrum
 from cas_limits.waveform import (
     CONVERGED_STOPS,
     CSV_COLUMNS,
+    _backtrack,
     _gradient,
     _objective,
+    _project,
     _split_scores,
     _waterfill,
     curve_rows,
@@ -37,6 +39,7 @@ from helpers import (
     crossover_trm_model,
     fd_gradient,
     grad_to_param,
+    loop_optimize_isac,
     loop_split_scores,
     scalar_trm_model,
 )
@@ -206,6 +209,120 @@ def test_sixteen_antenna_run_is_fast_and_no_worse():
     # finite-difference gradients stopped at 24.64186 here, after about 2 s
     assert res.point.d_total < 24.6419
     assert res.trace_used <= model.trace_budget + 1e-9
+
+
+ISAC_ORACLE_MODELS = {
+    # the cas-cli recipe {"seed": s, "n": 4, "m_s": 2, "m_c": 2, "t": 8}, one per stop reason
+    "ftol": random_trm_model(0, n=4, m_s=2, m_c=2, t=8),
+    "line_search": random_trm_model(2, n=4, m_s=2, m_c=2, t=8),
+    "no_move": random_trm_model(5, n=4, m_s=2, m_c=2, t=8),
+    # criterion 7's sweep, and the sixteen-antenna run
+    **{f"crossover {snr:g} dB": replace(crossover_trm_model(), power=10.0 ** (snr / 10.0))
+       for snr in np.linspace(-10.0, 30.0, 9)},
+    "n16": random_trm_model(5, n=16, t=32),
+}
+
+
+@pytest.mark.parametrize("name", ISAC_ORACLE_MODELS)
+def test_isac_matches_the_one_gram_at_a_time_search(name, monkeypatch):
+    model = ISAC_ORACLE_MODELS[name]
+    sizes = []
+    objective = waveform._objective
+
+    def counted(model, qa):
+        sizes.append(1 if qa.ndim == 2 else len(qa))
+        return objective(model, qa)
+
+    monkeypatch.setattr(waveform, "_objective", counted)
+    res = optimize_isac(model)
+    q, point, stop, iterations, fw_gap = loop_optimize_isac(model)
+    assert res.q_star.q.tobytes() == q.tobytes()
+    assert res.point == point
+    assert (res.stop, res.iterations, res.fw_gap) == (stop, iterations, fw_gap)
+    if name in ("ftol", "line_search", "no_move"):
+        assert res.stop == name
+    if res.stop == "line_search":
+        # the failed search scores all 60 halvings, in stacks of growing size
+        assert sizes[-4:] == [1, 4, 16, 39]
+
+
+def _stack_fixture():
+    """Models and one stack of Grams: full-rank, rank-deficient and zero, over and under budget."""
+    models = [random_trm_model(3, n=4, m_s=3, m_c=2, t=8),
+              replace(random_trm_model(4, n=3, m_s=2, m_c=2, t=6), h_c=np.zeros((2, 3))),
+              random_trm_model(6, n=8, m_s=2, m_c=3, t=16)]
+    for model in models:
+        rng = np.random.default_rng(model.n)
+        grams = [np.zeros((model.n, model.n), dtype=np.complex128)]
+        for rank in (model.n, model.n, 1, model.n - 1):
+            a = rng.standard_normal((model.n, rank)) + 1j * rng.standard_normal((model.n, rank))
+            grams.append(a @ a.conj().T)
+        # traces 0, then two and a half times the budget, a tenth of it, and so on
+        scales = [1.0, 2.5, 0.1, 1.3, 0.4]
+        stack = np.array([s * model.trace_budget * g / max(np.trace(g).real, 1e-300)
+                          for s, g in zip(scales, grams)])
+        yield model, stack
+
+
+def test_stacked_closed_forms_match_per_gram_calls():
+    for model, stack in _stack_fixture():
+        budget = model.trace_budget
+        assert any(np.trace(q).real > budget for q in stack)
+        assert any(0 < np.trace(q).real < budget for q in stack)
+        for fn in (lambda q: sensing_mse(model, q), lambda q: channel_mi(model, q),
+                   lambda q: gram_spectrum(model, q), lambda q: _project(q, budget),
+                   lambda q: _objective(model, q)):
+            rows = fn(stack)
+            assert len(rows) == len(stack)
+            for q, row in zip(stack, rows):
+                one = fn(q)
+                assert np.asarray(one).tobytes() == row.tobytes()
+        assert isinstance(_objective(model, stack[0]), float)
+        for q, total in zip(stack, _objective(model, stack)):
+            assert evaluate_gram(model, q).d_total == total
+        assert channel_mi(model, stack).any() == model.h_c.any()
+
+
+def _poisoned_objective(values_per_call):
+    calls = iter(values_per_call)
+
+    def fake(_model, qa):
+        out = np.array(next(calls), dtype=np.float64)
+        assert out.shape == (len(qa),)
+        return out
+
+    return fake
+
+
+def test_non_finite_totals_past_where_the_scan_stops_are_ignored(monkeypatch):
+    model = random_trm_model(2, n=4, m_s=2, m_c=2, t=8)
+    qa = (model.trace_budget / model.n) * np.eye(model.n, dtype=np.complex128)
+    direction = _gradient(model, qa)
+    direction = 2.0 * direction - np.diag(np.diag(direction))
+    f, step, nan = 10.0, 1e-3, float("nan")
+    candidate = lambda k: _project(qa - step * 0.5**k * direction, model.trace_budget)  # noqa: E731
+
+    # accepted at the third candidate; the one after it is not finite
+    monkeypatch.setattr(waveform, "_objective",
+                        _poisoned_objective([[f + 1.0], [f + 1.0, f - 1.0, nan, nan]]))
+    stop, q, f_new, t = _backtrack(model, qa, f, direction, step, 0.0)
+    assert (stop, f_new, t) == (None, f - 1.0, step * 0.25)
+    assert q.tobytes() == candidate(2).tobytes()
+
+    # a non-finite total before the accepted one raises
+    monkeypatch.setattr(waveform, "_objective",
+                        _poisoned_objective([[f + 1.0], [nan, f - 1.0, nan, nan]]))
+    with pytest.raises(NonFiniteObjective):
+        _backtrack(model, qa, f, direction, step, 0.0)
+
+    # the second candidate moves less than the threshold: the search stops there,
+    # and the non-finite totals at and after it are never looked at
+    moves = [np.sum(np.abs(candidate(k) - qa) ** 2) for k in (0, 1)]
+    monkeypatch.setattr(waveform, "_objective",
+                        _poisoned_objective([[f + 1.0], [nan, nan, nan, nan]]))
+    stop, q, f_new, t = _backtrack(model, qa, f, direction, step, 0.5 * (moves[0] + moves[1]))
+    assert (stop, f_new, t) == ("no_move", f, step * 0.5)
+    assert q is qa
 
 
 def test_rate_never_exceeds_the_channel_mi(rng):
