@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceWarning,
     InfeasibleConstraint,
     NonFiniteObjective,
-    SingularPrior,
     UnreachableDistortion,
     ZeroProbabilityObservation,
 )
@@ -33,7 +32,6 @@ from .gaussian import (
     RwfResult,
     TrmModel,
     channel_mi,
-    estimate_covariance,
     gram_spectrum,
     mmse_filter,
     random_trm_model,
@@ -61,7 +59,6 @@ __all__ = [
     "OptResult",
     "RwfResult",
     "SimReport",
-    "SingularPrior",
     "SweepCurve",
     "Theorem1Result",
     "TradeoffPoint",
@@ -72,7 +69,6 @@ __all__ = [
     "constrained_capacity",
     "estimate_cost",
     "estimate_costs",
-    "estimate_covariance",
     "gram_spectrum",
     "min_total_distortion",
     "mmse_filter",

@@ -17,10 +17,6 @@ class UnreachableDistortion(CasError):
     """Requested distortion lies below the minimum achievable distortion."""
 
 
-class SingularPrior(CasError):
-    """A prior covariance inverse was requested but the matrix is rank-deficient."""
-
-
 class NonFiniteObjective(CasError):
     """Optimizer numerics produced NaN/Inf; the model is ill-conditioned."""
 

@@ -6,10 +6,9 @@ and the communication mutual information. All rates in nats.
 
 Snapshot convention: the analytic sensing MSE carries a T/sigma^2 factor on
 the Gram matrix. The observation model that reproduces it uses the
-sqrt(T)-scaled waveform ("T effective snapshots"); ``estimate_covariance``
-applies that scaling internally so the trace identity
-M_s Tr(Sigma_s) = D_s + M_s Tr(R_block) holds, while ``mmse_filter`` is the
-raw per-block filter for whatever waveform it is handed.
+sqrt(T)-scaled waveform ("T effective snapshots"), so that the trace identity
+M_s Tr(Sigma_s) = D_s + M_s Tr(R_block) holds; ``mmse_filter`` is the raw
+per-block filter for whatever waveform it is handed, and callers scale it.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPrior
-
 HERM_TOL = 1e-10
-RANK_RTOL = 1e-12       # eigenvalues below this fraction of the max are zero modes
 
 
 def _as_complex(a) -> np.ndarray:
@@ -165,20 +161,6 @@ def sensing_mse(model: TrmModel, q: np.ndarray):
     return _per_gram(model.m_s * _error_covariance(model, q).trace(axis1=-2, axis2=-1).real)
 
 
-def sensing_mse_direct(model: TrmModel, q: np.ndarray) -> float:
-    """Printed-form sensing MSE M_s Tr[(scale Q + Sigma^-1)^-1].
-
-    Raises SingularPrior when the prior covariance is rank-deficient; kept
-    alongside the inverse-free form as a cross-check.
-    """
-    vals = np.linalg.eigvalsh(model.sigma_s)
-    if vals.min() <= RANK_RTOL * max(vals.max(), 1e-300):
-        raise SingularPrior("sigma_s is rank-deficient; use sensing_mse instead")
-    scale = model.t / model.noise_s
-    inv_sigma = np.linalg.inv(model.sigma_s)
-    return float(model.m_s * np.real(np.trace(np.linalg.inv(scale * q + inv_sigma))))
-
-
 def mmse_filter(model: TrmModel, x: np.ndarray) -> np.ndarray:
     """Per-block MMSE filter W = Sigma_s X R_z^-1 for waveform X (N x T).
 
@@ -188,14 +170,6 @@ def mmse_filter(model: TrmModel, x: np.ndarray) -> np.ndarray:
     x = _as_complex(x)
     r_z = x.conj().T @ model.sigma_s @ x + model.noise_s * np.eye(x.shape[1])
     return np.linalg.solve(r_z.conj().T, (model.sigma_s @ x).conj().T).conj().T
-
-
-def _block_covariance_from_waveform(model: TrmModel, x: np.ndarray) -> np.ndarray:
-    """Per-block covariance of the MMSE estimate, snapshot-scaled."""
-    x_eff = np.sqrt(model.t) * _as_complex(x)
-    w = mmse_filter(model, x_eff)
-    block = model.sigma_s @ x_eff @ w.conj().T
-    return 0.5 * (block + block.conj().T)
 
 
 def _block_covariance_from_gram(model: TrmModel, q: np.ndarray) -> np.ndarray:
@@ -208,22 +182,12 @@ def _expanded_spectrum(model: TrmModel, block: np.ndarray) -> np.ndarray:
     return np.repeat(np.maximum(np.linalg.eigvalsh(block)[..., ::-1], 0.0), model.m_s, axis=-1)
 
 
-def estimate_covariance(model: TrmModel, x: np.ndarray) -> np.ndarray:
-    """Spectrum of the estimate covariance for waveform x (N x T).
-
-    Returns the N M_s eigenvalues of the full covariance, clipped at 0 and
-    in descending order: each per-block eigenvalue is repeated M_s times
-    (Kronecker structure of the full covariance).
-    """
-    return _expanded_spectrum(model, _block_covariance_from_waveform(model, x))
-
-
 def gram_spectrum(model: TrmModel, q: np.ndarray) -> np.ndarray:
-    """Estimate-covariance spectrum computed directly from the Gram matrix q.
+    """Spectrum of the MMSE estimate covariance for the Gram matrix q.
 
-    The same array as ``estimate_covariance`` returns for any waveform with
-    Gram q: N M_s eigenvalues, clipped at 0, descending. A (K, N, N) stack
-    gives one such row per Gram.
+    N M_s eigenvalues, clipped at 0 and descending: each per-block eigenvalue
+    is repeated M_s times (Kronecker structure of the full covariance). A
+    (K, N, N) stack gives one such row per Gram.
     """
     return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
 
@@ -250,14 +214,14 @@ def water_level(floors: np.ndarray, total):
 def _reverse_allocations(spectra: np.ndarray, rates):
     """Reverse water-filling of each row of ``spectra`` at its rate, in the log domain.
 
-    Each row is sorted descending; its modes at or below RANK_RTOL of its
-    largest are dead, with an infinite floor and no allocation, and the
-    others have floor -log lambda_i. Returns the water level (a float for
-    one row, K levels for a (K, L) stack, from one ``water_level`` call),
-    the floors, and the allocations min(lambda_i, xi) with xi = exp(-level).
+    Each row is sorted descending; a positive mode has floor -log lambda_i,
+    and a zero mode an infinite floor and no allocation. Returns the water
+    level (a float for one row, K levels for a (K, L) stack, from one
+    ``water_level`` call), the floors, and the allocations min(lambda_i, xi)
+    with xi = exp(-level).
     """
     lam = np.sort(spectra, axis=-1)[..., ::-1]
-    live = lam > RANK_RTOL * lam[..., :1]
+    live = lam > 0.0
     floors = np.full(lam.shape, np.inf)
     # the log of the live modes alone: np.log with a where= mask can round differently
     floors[live] = -np.log(lam[live])
@@ -274,12 +238,16 @@ def reverse_waterfill(spectrum: np.ndarray, rate_budget: float) -> RwfResult:
     descending. The water level xi makes
     sum_i log(lambda_i / min(lambda_i, xi)) equal the rate budget: in the
     log domain this is water-filling over the floors -log lambda_i, so
-    xi = exp(-water_level(-log lambda, rate_budget)). Modes below RANK_RTOL
-    of the largest eigenvalue carry no rate and no distortion.
+    xi = exp(-water_level(-log lambda, rate_budget)). Only zero (and
+    negative) modes carry no rate and no distortion, so d_c is continuous in
+    every eigenvalue. A NaN anywhere, or a negative budget, raises
+    ValueError; an infinite budget gives d_c = 0.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    if rate_budget < 0:
+    if not rate_budget >= 0:
         raise ValueError("rate_budget must be nonnegative")
+    if np.isnan(spectrum).any():
+        raise ValueError("spectrum must not contain NaN")
     if spectrum.size == 0 or spectrum.max(initial=0.0) <= 0.0:
         return RwfResult(xi=0.0, d_c=0.0, allocations=np.zeros(spectrum.size), rate=0.0)
     level, floors, allocations = _reverse_allocations(spectrum, rate_budget)

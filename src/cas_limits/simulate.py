@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    RANK_RTOL,
-    TrmModel,
-    mmse_filter,
-    reverse_waterfill,
-    sensing_mse,
-)
+from .gaussian import TrmModel, mmse_filter, reverse_waterfill, sensing_mse
 from .modelio import atomic_write_file, write_json
 
 _BATCH = 4096
@@ -133,11 +127,10 @@ class _Chain:
             block = 0.5 * (block + block.conj().T)
             lam, u = np.linalg.eigh(block)
             lam = np.maximum(np.real(lam), 0.0)
-            rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
+            rwf = reverse_waterfill(np.repeat(lam, model.m_s), rate_budget)
             # per-mode allocation depends only on the eigenvalue
-            thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
-            alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
-            self.gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
+            alloc = np.minimum(lam, rwf.xi)
+            self.gains = np.where(lam > 0.0, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
             self.wnoise_std = np.sqrt(alloc * self.gains)
             self.u_conj = u.conj()
             self.u_t = u.T

@@ -182,10 +182,10 @@ def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
     the sensing MSE moves by -M_s s tr(E^2 dQ), and each eigenvalue mu_i of
     the block estimate covariance Sigma - E by s u_i^H E dQ E u_i. By the
     envelope theorem the reverse-water-filling value at level xi moves by
-    M_s sum_i w_i dmu_i - xi dR, with w_i = 1 for mu_i <= xi (the modes below
-    RANK_RTOL included, so that the descent can grow them) and xi / mu_i
-    above. The log-det rate moves by c tr(H^H (c H Q H^H + I)^-1 H dQ)
-    (Palomar & Verdu, IEEE T-IT 52(1), 2006) while it is positive.
+    M_s sum_i w_i dmu_i - xi dR, with w_i = 1 for mu_i <= xi (zero modes
+    included, so that the descent can grow them) and xi / mu_i above. The
+    log-det rate moves by c tr(H^H (c H Q H^H + I)^-1 H dQ) (Palomar &
+    Verdu, IEEE T-IT 52(1), 2006) while it is positive.
     """
     s = model.t / model.noise_s
     e = _error_covariance(model, qa)
@@ -445,23 +445,6 @@ def write_curve_csv(curve: SweepCurve, path) -> None:
                 writer.writerow(out)
 
     atomic_write_file(write, path)
-
-
-def read_curve_csv(path) -> list[dict]:
-    """Parse a sweep CSV back into the row schema (lossless round trip)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            row = {k: rec[k] for k in CSV_COLUMNS}
-            for key in CSV_COLUMNS:
-                if key == "scheme":
-                    continue
-                if key == "converged":
-                    row[key] = rec[key] == "True"
-                else:
-                    row[key] = float(rec[key])
-            rows.append(row)
-    return rows
 
 
 def write_curve_json(curve: SweepCurve, path) -> None:

@@ -15,9 +15,8 @@ from cas_limits.discrete import (
     _warn,
 )
 from cas_limits.gaussian import (
-    RANK_RTOL,
     GramMatrix,
-    _block_covariance_from_waveform,
+    _expanded_spectrum,
     mmse_filter,
     reverse_waterfill,
 )
@@ -25,6 +24,7 @@ from cas_limits.errors import NonFiniteObjective
 from cas_limits.simulate import _BATCH
 from cas_limits.waveform import (
     ARMIJO_C,
+    CSV_COLUMNS,
     FTOL,
     MAX_ITER,
     WINDOW,
@@ -187,6 +187,61 @@ def fd_gradient(model, q, h):
     return g
 
 
+# Closed forms that the package's Gram-based forms must agree with: the printed
+# prior-inverse sensing MSE, and the estimate covariance built from a waveform
+# through the MMSE filter rather than from its Gram.
+class SingularPrior(Exception):
+    """The prior covariance is rank-deficient, so its inverse does not exist."""
+
+
+def sensing_mse_direct(model: TrmModel, q: np.ndarray) -> float:
+    """Printed-form sensing MSE M_s Tr[(scale Q + Sigma^-1)^-1], scale = T / sigma_s^2.
+
+    Raises SingularPrior when the prior covariance is rank-deficient.
+    """
+    vals = np.linalg.eigvalsh(model.sigma_s)
+    if vals.min() <= 1e-12 * max(vals.max(), 1e-300):
+        raise SingularPrior("sigma_s is rank-deficient; use sensing_mse instead")
+    scale = model.t / model.noise_s
+    inv_sigma = np.linalg.inv(model.sigma_s)
+    return float(model.m_s * np.real(np.trace(np.linalg.inv(scale * q + inv_sigma))))
+
+
+def block_covariance_from_waveform(model: TrmModel, x: np.ndarray) -> np.ndarray:
+    """Per-block covariance of the MMSE estimate for waveform x, snapshot-scaled."""
+    x_eff = np.sqrt(model.t) * np.asarray(x, dtype=np.complex128)
+    w = mmse_filter(model, x_eff)
+    block = model.sigma_s @ x_eff @ w.conj().T
+    return 0.5 * (block + block.conj().T)
+
+
+def estimate_covariance(model: TrmModel, x: np.ndarray) -> np.ndarray:
+    """Spectrum of the estimate covariance for waveform x (N x T).
+
+    The N M_s eigenvalues of the full covariance, clipped at 0 and descending,
+    each per-block eigenvalue repeated M_s times: ``gram_spectrum``'s array
+    for the Gram of x.
+    """
+    return _expanded_spectrum(model, block_covariance_from_waveform(model, x))
+
+
+def read_curve_csv(path) -> list[dict]:
+    """Parse a sweep CSV back into ``waveform.curve_rows``' row schema."""
+    rows = []
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            row = {k: rec[k] for k in CSV_COLUMNS}
+            for key in CSV_COLUMNS:
+                if key == "scheme":
+                    continue
+                if key == "converged":
+                    row[key] = rec[key] == "True"
+                else:
+                    row[key] = float(rec[key])
+            rows.append(row)
+    return rows
+
+
 def _serial_complex_normal(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -212,14 +267,13 @@ def serial_run_chain(
     sigma_root = (u_sigma * np.sqrt(np.maximum(np.real(mu), 0.0))) @ u_sigma.conj().T
 
     if rate_budget is not None:
-        block = _block_covariance_from_waveform(model, x)
+        block = block_covariance_from_waveform(model, x)
         lam, u = np.linalg.eigh(block)
         lam = np.maximum(np.real(lam), 0.0)
-        rwf = reverse_waterfill(np.repeat(np.sort(lam)[::-1], model.m_s), rate_budget)
+        rwf = reverse_waterfill(np.repeat(lam, model.m_s), rate_budget)
         # per-mode allocation depends only on the eigenvalue
-        thresh = RANK_RTOL * max(lam.max(initial=0.0), 1e-300)
-        alloc = np.where(lam > thresh, np.minimum(lam, rwf.xi), 0.0)
-        gains = np.where(lam > thresh, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
+        alloc = np.minimum(lam, rwf.xi)
+        gains = np.where(lam > 0.0, 1.0 - alloc / np.maximum(lam, 1e-300), 0.0)
         wvar = alloc * gains
         analytic_d_c = rwf.d_c
     else:
@@ -343,7 +397,7 @@ def _scalar_reverse_distortion(spectrum, rate):
     lam = np.sort(spectrum)[::-1]
     if lam.max(initial=0.0) <= 0.0:
         return 0.0
-    live = lam > RANK_RTOL * lam.max()
+    live = lam > 0.0
     xi = float(np.exp(-_scalar_water_level(-np.log(lam[live]), rate)))
     return float(np.where(live, np.minimum(lam, xi), 0.0).sum())
 

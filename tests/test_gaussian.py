@@ -7,20 +7,24 @@ from hypothesis import strategies as st
 
 from cas_limits import (
     GramMatrix,
-    SingularPrior,
     TrmModel,
     channel_mi,
-    estimate_covariance,
     gram_spectrum,
     mmse_filter,
     random_trm_model,
     reverse_waterfill,
     sensing_mse,
 )
-from cas_limits.gaussian import RANK_RTOL, sensing_mse_direct, water_level, waveform_from_gram
+from cas_limits.gaussian import water_level, waveform_from_gram
 from cas_limits.modelio import load_trm_model, save_trm_model
 
-from helpers import random_unitary, scalar_trm_model
+from helpers import (
+    SingularPrior,
+    estimate_covariance,
+    random_unitary,
+    scalar_trm_model,
+    sensing_mse_direct,
+)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -210,18 +214,47 @@ def test_rate_round_trip(rng):
 
 
 def test_reverse_waterfill_spends_its_budget_exactly():
+    # every positive mode, however small, gets min(lambda, xi); only exact zeros get 0
     rng = np.random.default_rng(77)
     for k in range(40):
         lam = np.sort(rng.uniform(0.01, 10.0, int(rng.integers(2, 9))))[::-1]
         if k % 4 == 0:
-            lam[-1] = 1e-14 * lam[0]    # a zero mode: below RANK_RTOL of the largest
+            lam[-1] = 1e-14 * lam[0]    # a mode at rounding level of the largest
+        elif k % 4 == 2:
+            lam[-1] = 0.0
         budget = float(rng.uniform(0.0, 8.0))
         res = reverse_waterfill(lam, budget)
-        live = lam > RANK_RTOL * lam[0]
+        live = lam > 0.0
+        assert np.array_equal(res.allocations[live], np.minimum(lam[live], res.xi))
         spent = float(np.sum(np.log(lam[live] / res.allocations[live])))
         assert abs(spent - budget) <= 1e-12 * max(1.0, budget)
         assert abs(res.rate - budget) <= 1e-12 * max(1.0, budget)
         assert np.all(res.allocations[~live] == 0.0)
+
+
+def test_reverse_waterfill_distortion_is_continuous_in_a_small_mode():
+    # two spectra that differ in one mode, on either side of 1e-12 of the largest:
+    # d_c is the sum of min(lambda_i, xi), so it moves by at most M_s |d lambda|
+    for m_s in (1, 2, 4):
+        for rate in (0.0, 0.3, 2.0, 9.0):
+            lam_max = 3.0
+            below, above = (np.repeat([lam_max, 1.0, 0.5, f * 1e-12 * lam_max], m_s)
+                            for f in (0.99, 1.01))
+            a, b = reverse_waterfill(below, rate), reverse_waterfill(above, rate)
+            bound = m_s * 0.02e-12 * lam_max + 8 * np.finfo(float).eps * max(a.d_c, 1.0)
+            assert abs(a.d_c - b.d_c) <= bound, (m_s, rate)
+
+
+def test_reverse_waterfill_rejects_nan_and_takes_an_infinite_budget():
+    with pytest.raises(ValueError, match="rate_budget"):
+        reverse_waterfill(np.array([2.0, 1.0]), float("nan"))
+    with pytest.raises(ValueError, match="rate_budget"):
+        reverse_waterfill(np.array([2.0, 1.0]), -0.5)
+    with pytest.raises(ValueError, match="NaN"):
+        reverse_waterfill(np.array([2.0, np.nan, 1.0]), 1.0)
+    res = reverse_waterfill(np.array([2.0, 1.0, 0.0]), np.inf)
+    assert res.d_c == 0.0 and res.xi == 0.0
+    assert np.all(res.allocations == 0.0)
 
 
 @settings(max_examples=300, deadline=None)
