@@ -99,6 +99,12 @@ class Config:
             raise ConfigError("split_grid: must be at least 2")
         return split_grid
 
+    def max_iter(self) -> int:
+        max_iter = self.value("max_iter", integer, waveform.MAX_ITER)
+        if max_iter < 0:
+            raise ConfigError(f"max_iter: must be nonnegative, got {max_iter}")
+        return max_iter
+
     def path(self, rel: str) -> str:
         if os.path.isabs(rel):
             return rel
@@ -192,8 +198,7 @@ def _run_discrete_tradeoff(cfg: Config) -> list[str]:
 
 def _run_trm_optimize(cfg: Config) -> list[str]:
     model = cfg.trm_model()
-    max_iter = cfg.value("max_iter", integer, waveform.MAX_ITER)
-    res = waveform.optimize_isac(model, max_iter=max_iter)
+    res = waveform.optimize_isac(model, max_iter=cfg.max_iter())
     payload = {
         "point": _point_payload(res.point, cfg.bits),
         "trace_used": res.trace_used,
@@ -246,7 +251,7 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
         snr_db,
         schemes=tuple(schemes),
         split_grid=cfg.split_grid(),
-        max_iter=cfg.value("max_iter", integer, waveform.MAX_ITER),
+        max_iter=cfg.max_iter(),
     )
     out_csv = cfg.out_path(cfg.value("output_csv", default="sweep.csv"))
     out_json = cfg.out_path(cfg.value("output_json", default="sweep.json"))
@@ -278,8 +283,7 @@ def _run_simulate(cfg: Config) -> list[str]:
         q = (model.trace_budget / model.n) * np.eye(model.n)
         x = waveform_from_gram(model, q)
     elif wf_spec == "isac-optimal":
-        max_iter = cfg.value("max_iter", integer, waveform.MAX_ITER)
-        res = waveform.optimize_isac(model, max_iter=max_iter)
+        res = waveform.optimize_isac(model, max_iter=cfg.max_iter())
         x = waveform_from_gram(model, res.q_star.q)
     elif isinstance(wf_spec, list):
         x = pairs_to_complex(wf_spec, "waveform")

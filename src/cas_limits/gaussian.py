@@ -172,9 +172,9 @@ def mmse_filter(model: TrmModel, x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r_z.conj().T, (model.sigma_s @ x).conj().T).conj().T
 
 
-def _block_covariance_from_gram(model: TrmModel, q: np.ndarray) -> np.ndarray:
-    """Per-block estimate covariance Sigma - (scale Q + Sigma^-1)^-1 from Q."""
-    block = model.sigma_s - _error_covariance(model, q)
+def _estimate_block(model: TrmModel, e: np.ndarray) -> np.ndarray:
+    """Per-block estimate covariance Sigma - E, Hermitian part, from the error covariance E."""
+    block = model.sigma_s - e
     return 0.5 * (block + _adjoint(block))
 
 
@@ -189,7 +189,7 @@ def gram_spectrum(model: TrmModel, q: np.ndarray) -> np.ndarray:
     is repeated M_s times (Kronecker structure of the full covariance). A
     (K, N, N) stack gives one such row per Gram.
     """
-    return _expanded_spectrum(model, _block_covariance_from_gram(model, q))
+    return _expanded_spectrum(model, _estimate_block(model, _error_covariance(model, q)))
 
 
 def water_level(floors: np.ndarray, total):
@@ -208,7 +208,7 @@ def water_level(floors: np.ndarray, total):
     last = floors.shape[-1] - 1 - np.argmax(filled[..., ::-1], axis=-1)
     if levels.ndim == 1:    # one total: plain indexing keeps the scalar call cheap
         return float(levels[last])
-    return np.take_along_axis(levels, last[:, None], axis=-1)[:, 0]
+    return levels[np.arange(len(last)), last]
 
 
 def _reverse_allocations(spectra: np.ndarray, rates):

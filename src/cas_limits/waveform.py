@@ -22,6 +22,8 @@ from .gaussian import (
     TrmModel,
     _adjoint,
     _error_covariance,
+    _estimate_block,
+    _expanded_spectrum,
     _per_gram,
     _reverse_allocations,
     channel_mi,
@@ -119,20 +121,25 @@ def evaluate_gram(
 def _objective(model: TrmModel, qa: np.ndarray):
     """D_s + D_c of the Gram ``qa``, or of each Gram in a (K, N, N) stack.
 
-    The same closed forms as ``evaluate_gram``'s ``d_total``, with the
-    reverse water-filling of all the estimate spectra in one batched pass.
-    Non-finite values are returned as they are; the line search checks them
-    in the order it tries the candidates.
+    The same closed forms as ``evaluate_gram``'s ``d_total``, from one
+    solve of the error covariance E per Gram: D_s = M_s Re tr E, and D_c
+    the reverse water-filling of the spectrum of Sigma - E, all the spectra
+    in one batched pass. Non-finite values are returned as they are; the
+    line search checks them in the order it tries the candidates.
     """
-    d_c = _reverse_allocations(gram_spectrum(model, qa), channel_mi(model, qa))[2].sum(axis=-1)
-    return _per_gram(sensing_mse(model, qa) + d_c)
+    e = _error_covariance(model, qa)
+    spectra = _expanded_spectrum(model, _estimate_block(model, e))
+    d_c = _reverse_allocations(spectra, channel_mi(model, qa))[2].sum(axis=-1)
+    return _per_gram(model.m_s * e.trace(axis1=-2, axis2=-1).real + d_c)
 
 
-def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
+def _project(qa: np.ndarray, trace_budget) -> np.ndarray:
     """Map an iterate, or each matrix of a (K, N, N) stack, back into {Q PSD, Tr Q <= budget}.
 
     Negative eigenvalues are clipped to zero, then the matrix is rescaled
-    when the trace cap still binds. The rescaling is deliberate: it keeps
+    when the trace cap still binds. A stack takes one budget, or one per
+    matrix in an array shaped as its leading axes and a trailing 1, such
+    as (K, 1) for a (K, N, N) stack. The rescaling is deliberate: it keeps
     the shape of the spectrum instead of shifting it, which biases the
     solver toward evenly loaded subspaces. That is the behavior the
     high-SNR baseline comparison depends on; see the sweep tests.
@@ -144,35 +151,24 @@ def _project(qa: np.ndarray, trace_budget: float) -> np.ndarray:
     return (vecs * vals[..., None, :]) @ _adjoint(vecs)
 
 
-def _backtrack(model: TrmModel, qa, f, direction, step, tiny):
-    """Armijo backtracking from ``qa`` along -``direction`` over the steps step 2^-k, k < HALVINGS.
+def _scan(f: float, tiny: float, steps, moves, totals):
+    """Scan one run's candidates of a line search in order; returns (index, stop) or None.
 
-    The candidates are projected and scored in stacks of ``_CHUNKS`` sizes,
-    and each stack is scanned in order, so the search ends where trying one
-    step at a time would: at the first candidate that moves less than
-    ``tiny`` in squared norm ("no_move"), or that passes the
-    gradient-mapping Armijo test, a decrease of at least ARMIJO_C / step
-    times the squared move (stop None). A non-finite objective raises
-    NonFiniteObjective only at a candidate the scan reaches. Returns
-    (stop, Q, f, step), with stop "line_search" when no candidate ends the
-    search, and Q and f unchanged unless a step was accepted.
+    The scan ends at the first candidate that moves less than ``tiny`` in
+    squared norm (stop "no_move"), or that passes the gradient-mapping
+    Armijo test, a decrease from ``f`` of at least ARMIJO_C / step times
+    the squared move (stop None). A non-finite total raises
+    NonFiniteObjective only at a candidate the scan reaches. None means no
+    candidate ended the scan.
     """
-    start = 0
-    for size in _CHUNKS:
-        chunk = step * _HALVES[start:start + size]    # exact: scaling by powers of 2
-        cands = _project(qa - chunk[:, None, None] * direction, model.trace_budget)
-        move2 = np.sum(np.abs(cands - qa) ** 2, axis=(1, 2))
-        # the scan in Python floats: the same IEEE arithmetic, without NumPy scalars
-        scan = zip(chunk.tolist(), move2.tolist(), _objective(model, cands).tolist())
-        for k, (t, m2, f_new) in enumerate(scan):
-            if m2 < tiny:
-                return "no_move", qa, f, t
-            if not math.isfinite(f_new):
-                raise NonFiniteObjective("objective evaluated to a non-finite value")
-            if f_new <= f - (ARMIJO_C / t) * m2:
-                return None, cands[k], f_new, t
-        start += size
-    return "line_search", qa, f, step
+    for k, (t, m2, f_new) in enumerate(zip(steps, moves, totals)):
+        if m2 < tiny:
+            return k, "no_move"
+        if not math.isfinite(f_new):
+            raise NonFiniteObjective("objective evaluated to a non-finite value")
+        if f_new <= f - (ARMIJO_C / t) * m2:
+            return k, None
+    return None
 
 
 def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
@@ -185,23 +181,137 @@ def _gradient(model: TrmModel, qa: np.ndarray) -> np.ndarray:
     M_s sum_i w_i dmu_i - xi dR, with w_i = 1 for mu_i <= xi (zero modes
     included, so that the descent can grow them) and xi / mu_i above. The
     log-det rate moves by c tr(H^H (c H Q H^H + I)^-1 H dQ) (Palomar &
-    Verdu, IEEE T-IT 52(1), 2006) while it is positive.
+    Verdu, IEEE T-IT 52(1), 2006) while it is positive. A (K, N, N) stack
+    of Grams gives the K gradients, each as one Gram alone gets it.
     """
+    q = qa if qa.ndim == 3 else qa[None]
     s = model.t / model.noise_s
-    e = _error_covariance(model, qa)
-    e = 0.5 * (e + e.conj().T)
+    e = _error_covariance(model, q)
+    e = 0.5 * (e + _adjoint(e))
     mu, u = np.linalg.eigh(model.sigma_s - e)
-    mi = channel_mi(model, qa)
-    xi = reverse_waterfill(np.repeat(mu, model.m_s), mi).xi
+    mi = channel_mi(model, q)
+    xi = np.exp(-_reverse_allocations(np.repeat(mu, model.m_s, axis=-1), mi)[0])[:, None]
     w = np.divide(xi, mu, out=np.ones_like(mu), where=mu > xi)
     eu = e @ u
-    g = model.m_s * s * ((eu * w) @ eu.conj().T - e @ e)
-    if mi > 0.0:
+    g = model.m_s * s * ((eu * w[:, None, :]) @ _adjoint(eu) - e @ e)
+    live = mi > 0.0
+    if live.any():
         c = model.t / model.noise_c
         h = model.h_c
-        b = c * h @ qa @ h.conj().T + np.eye(model.m_c)
-        g -= xi * c * h.conj().T @ np.linalg.solve(b, h)
-    return 0.5 * (g + g.conj().T)
+        b = c * h @ q[live] @ h.conj().T + np.eye(model.m_c)
+        # ((xi c) H^H) (B^-1 H), grouped as the one-Gram form always was: another
+        # grouping moves the last bits, and with them the descent's path
+        g[live] -= xi[live, :, None] * c * h.conj().T @ np.linalg.solve(b, h[None])
+    g = 0.5 * (g + _adjoint(g))
+    return g if qa.ndim == 3 else g[0]
+
+
+def _descend(model: TrmModel, budgets, inits, max_iter: int) -> list:
+    """Projected gradient descents on ``model``, one per trace budget, run in lockstep.
+
+    Run k starts from inits[k] projected onto {Q PSD, Tr Q <= budgets[k]},
+    or from the uniform Gram (budgets[k] / N) I where inits[k] is None, and
+    keeps its own step, objective, history, iteration count and line
+    search position, so it takes the path it takes alone. Each iteration
+    computes the gradients of the active runs in one stacked ``_gradient``
+    call, and each round of line search scores the next chunk of every
+    searching run in one stacked ``_project`` and one ``_objective`` call;
+    each run then scans its own candidates with ``_scan``. The model's own
+    power plays no part: only the budgets bound the Grams. Returns, per
+    run, its OptResult or the NonFiniteObjective that ended it.
+    """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
+    n = model.n
+    runs = range(len(budgets))
+    caps = np.array(budgets, dtype=np.float64)[:, None]
+    qa = _project(np.array([(b / n) * np.eye(n) if q is None else q
+                            for b, q in zip(budgets, inits)], dtype=np.complex128), caps)
+    scales = [max(b / n, 1e-12) for b in budgets]
+    tiny = [1e-30 * max(1.0, sc**2) for sc in scales]
+    steps = list(scales)
+    f = _objective(model, qa).tolist()
+    history = [[v] for v in f]
+    out = [None if math.isfinite(v) else NonFiniteObjective(
+        "objective evaluated to a non-finite value") for v in f]
+    stop = [None] * len(budgets)
+    iters = [max_iter] * len(budgets)
+    grads = [None] * len(budgets)   # the gradient at a run's final Gram, when one was computed
+    active = [k for k in runs if out[k] is None]
+    diag = np.arange(n)
+    for it in range(1, max_iter + 1):
+        if not active:
+            break
+        g = _gradient(model, qa[active])
+        direction = 2.0 * g
+        direction[:, diag, diag] -= g[:, diag, diag]     # 2G - Diag G
+        searching = []      # positions in ``active`` of the runs with a line search to do
+        for j, k in enumerate(active):
+            if np.real(np.vdot(g[j], direction[j])) < 1e-30:
+                stop[k], iters[k], grads[k] = "gradient", it, g[j]
+            else:
+                steps[k] = min(steps[k] * 2.0, 1e6 * scales[k])
+                searching.append(j)
+        start = 0
+        for size in _CHUNKS:
+            if not searching:
+                break
+            ks = [active[j] for j in searching]
+            # exact: scaling by powers of 2
+            chunks = np.multiply.outer([steps[k] for k in ks], _HALVES[start:start + size])
+            # (runs, size, N, N): run i's candidates qa - t direction, projected under its cap
+            base = qa[ks][:, None]
+            cands = _project(base - chunks[..., None, None] * direction[searching][:, None],
+                             caps[ks][..., None])
+            # the scans run in Python floats: the same IEEE arithmetic, without NumPy scalars
+            moves = np.sum(np.abs(cands - base) ** 2, axis=(2, 3)).ravel().tolist()
+            cands = cands.reshape(-1, n, n)
+            totals = _objective(model, cands).tolist()
+            step_rows = chunks.ravel().tolist()
+            left = []
+            for i, (j, k) in enumerate(zip(searching, ks)):
+                rows = slice(i * size, (i + 1) * size)
+                try:
+                    found = _scan(f[k], tiny[k], step_rows[rows], moves[rows], totals[rows])
+                except NonFiniteObjective as exc:
+                    out[k] = exc
+                    continue
+                if found is None:
+                    left.append(j)
+                elif found[1] == "no_move":
+                    stop[k], iters[k], grads[k] = "no_move", it, g[j]
+                else:
+                    row = i * size + found[0]
+                    qa[k], f[k], steps[k] = cands[row], totals[row], step_rows[row]
+                    history[k].append(f[k])
+                    if len(history[k]) > WINDOW and history[k][-1 - WINDOW] - f[k] < FTOL:
+                        stop[k], iters[k] = "ftol", it
+            searching = left
+            start += size
+        for j in searching:     # every halving failed the Armijo test
+            stop[active[j]], iters[active[j]], grads[active[j]] = "line_search", it, g[j]
+        active = [k for k in active if stop[k] is None and out[k] is None]
+    for k in active:
+        stop[k] = "max_iter"
+
+    fresh = [k for k in runs if out[k] is None and grads[k] is None]
+    if fresh:   # after ftol or max_iter the final Gram's gradient is not yet known
+        for k, g_k in zip(fresh, _gradient(model, qa[fresh])):
+            grads[k] = g_k
+    for k in runs:
+        if out[k] is None:
+            point, g_k = evaluate_gram(model, qa[k]), grads[k]
+            out[k] = OptResult(
+                q_star=GramMatrix(qa[k], trace_limit=budgets[k]),
+                point=point,
+                trace_used=point.budget,
+                iterations=iters[k],
+                converged=stop[k] in CONVERGED_STOPS,
+                stop=stop[k],
+                fw_gap=float(np.real(np.vdot(g_k, qa[k]))
+                             - budgets[k] * min(np.linalg.eigvalsh(g_k)[0], 0.0)),
+            )
+    return out
 
 
 def optimize_isac(
@@ -212,65 +322,30 @@ def optimize_isac(
     """Minimize D_s(Q) + D_c(Q) over {Q PSD, Tr Q <= T P_T}.
 
     Projected gradient descent with the closed-form gradient of ``_gradient``
-    and Armijo backtracking. The step Q - step (2G - Diag G) is the gradient
-    step of the real parameter vector (diagonal, real and imaginary upper
-    triangle) of Q. Each line search tries the steps step 2^-k, k < HALVINGS,
-    as ``_backtrack`` does: projected and scored in stacks of 1, 4, 16 and
-    39, so a search that accepts its first step costs one evaluation, and
-    scanned in order, so the descent takes the path of trying one step at a
-    time. The problem is non-convex, so the result is a local
-    optimum; small-dimension grid oracles anchor correctness in the tests.
-    The descent starts from ``init``, an N x N Hermitian array projected
-    onto the feasible set, or without it from the uniform Gram (T P_T / N) I.
-    ``stop`` records why the descent ended; the run counts as converged
-    unless the line search failed through all its halvings or the
-    iteration cap was hit. ``fw_gap`` is the Frank-Wolfe gap at the result,
+    and Armijo backtracking: ``_descend`` with one run. ``sweep_snr`` runs
+    the descents of all its SNR points in lockstep in one ``_descend``
+    call, and each takes the path it takes here alone. The step
+    Q - step (2G - Diag G) is the gradient step of the real parameter
+    vector (diagonal, real and imaginary upper triangle) of Q. Each line
+    search tries the steps step 2^-k, k < HALVINGS: projected and scored in
+    stacks of 1, 4, 16 and 39, so a search that accepts its first step
+    costs one evaluation, and scanned in order, so the descent takes the
+    path of trying one step at a time. The problem is non-convex, so the
+    result is a local optimum; small-dimension grid oracles anchor
+    correctness in the tests. The descent starts from ``init``, an N x N
+    Hermitian array projected onto the feasible set, or without it from
+    the uniform Gram (T P_T / N) I. ``stop`` records why the descent ended;
+    the run counts as converged unless the line search failed through all
+    its halvings or the iteration cap was hit. A negative ``max_iter``
+    raises ValueError. ``fw_gap`` is the Frank-Wolfe gap at the result,
     max over the feasible set S of Re tr(G (Q - S)) with G = ``_gradient``:
     Re tr(G Q) - T P_T min(lambda_min(G), 0), zero only at a stationary
     point. It is reported only; ``converged`` does not depend on it.
     """
-    budget = model.trace_budget
-    n = model.n
-    if init is None:
-        init = (budget / n) * np.eye(n, dtype=np.complex128)
-    qa = _project(init, budget)
-    scale = max(budget / n, 1e-12)
-
-    f = _objective(model, qa)
-    if not np.isfinite(f):
-        raise NonFiniteObjective("objective evaluated to a non-finite value")
-    history = [f]
-    step = scale
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = _gradient(model, qa)
-        direction = 2.0 * g - np.diag(np.diag(g))
-        if np.real(np.vdot(g, direction)) < 1e-30:
-            stop = "gradient"
-            break
-        step = min(step * 2.0, 1e6 * scale)
-        stop, qa, f, step = _backtrack(
-            model, qa, f, direction, step, 1e-30 * max(1.0, scale**2))
-        if stop is not None:
-            break
-        history.append(f)
-        if len(history) > WINDOW and history[-1 - WINDOW] - f < FTOL:
-            stop = "ftol"
-            break
-    else:
-        stop = "max_iter"
-
-    point = evaluate_gram(model, qa)
-    g = _gradient(model, qa)
-    return OptResult(
-        q_star=GramMatrix(qa, trace_limit=budget),
-        point=point,
-        trace_used=point.budget,
-        iterations=it,
-        converged=stop in CONVERGED_STOPS,
-        stop=stop,
-        fw_gap=float(np.real(np.vdot(g, qa)) - budget * min(np.linalg.eigvalsh(g)[0], 0.0)),
-    )
+    (res,) = _descend(model, [model.trace_budget], [init], max_iter)
+    if isinstance(res, NonFiniteObjective):
+        raise res
+    return res
 
 
 def _waterfill_powers(lam: np.ndarray, scale: float, power) -> np.ndarray:
@@ -369,10 +444,14 @@ def sweep_snr(
     """Run the optimizers over an SNR grid with a shared channel realization.
 
     SNR is applied as P_T / sigma^2 referenced to the communication noise
-    power, with both noise powers held fixed. Per-point failures are
-    recorded instead of aborting the sweep; a non-finite SNR, an unknown or
-    repeated scheme name and a split_grid below 2 raise ValueError before
-    the first point.
+    power, with both noise powers held fixed. A change of SNR changes only
+    the trace budget, so the ISAC descents of all the points run in
+    lockstep in one ``_descend`` call, each taking the path that
+    ``optimize_isac`` takes at its point alone. Per-point failures are
+    recorded instead of aborting the sweep; should the lockstep call itself
+    raise, each point is rerun alone so that the error lands on its point.
+    A non-finite SNR, an unknown or repeated scheme name, a split_grid
+    below 2 and a negative max_iter raise ValueError before the first point.
     """
     snr_db = [float(s) for s in snr_db]
     if not snr_db:
@@ -383,25 +462,30 @@ def sweep_snr(
         raise ValueError("snr_db grid must be nondecreasing")
     if split_grid < 2:
         raise ValueError("split_grid must be at least 2")
-    solvers = {
-        "isac": lambda model: optimize_isac(model, max_iter=max_iter),
-        "sw": lambda model: optimize_sw(model, split_grid=split_grid),
-    }
-    if any(s not in solvers for s in schemes) or len(set(schemes)) < len(schemes):
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
+    if any(s not in ("isac", "sw") for s in schemes) or len(set(schemes)) < len(schemes):
         raise ValueError(f"schemes must be distinct names out of 'isac' and 'sw'; got {schemes!r}")
-    results: dict[str, list[OptResult | None]] = {s: [] for s in schemes}
-    errors: dict[str, list[str | None]] = {s: [] for s in schemes}
-    for snr in snr_db:
-        power = 10.0 ** (snr / 10.0) * template.noise_c
-        model = replace(template, power=power)
-        for scheme in schemes:
-            try:
-                res = solvers[scheme](model)
-                results[scheme].append(res)
-                errors[scheme].append(None)
-            except Exception as exc:  # noqa: BLE001 - per-point isolation
-                results[scheme].append(None)
-                errors[scheme].append(f"{type(exc).__name__}: {exc}")
+    models = [replace(template, power=10.0 ** (snr / 10.0) * template.noise_c) for snr in snr_db]
+
+    def attempt(solve, *args, **kwargs):
+        try:
+            res = solve(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - per-point isolation
+            res = exc
+        return res
+
+    found = {}
+    if "isac" in schemes:
+        budgets = [m.trace_budget for m in models]
+        found["isac"] = attempt(_descend, models[0], budgets, [None] * len(budgets), max_iter)
+        if isinstance(found["isac"], Exception):
+            found["isac"] = [attempt(optimize_isac, m, max_iter=max_iter) for m in models]
+    if "sw" in schemes:
+        found["sw"] = [attempt(optimize_sw, m, split_grid=split_grid) for m in models]
+    results = {s: [None if isinstance(r, Exception) else r for r in found[s]] for s in schemes}
+    errors = {s: [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else None
+                  for r in found[s]] for s in schemes}
     return SweepCurve(snr_db=snr_db, results=results, errors=errors)
 
 

@@ -317,6 +317,21 @@ def test_malformed_config_value_exits_2(tmp_path, tmp_path_factory, capsys, fiel
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("trm-optimize", {"model": {"seed": 2, "n": 2, "m_s": 2, "m_c": 2, "t": 4}}),
+    ("snr-sweep", {k: v for k, v in VALID_CONFIGS["snr-sweep"].items() if k != "max_iter"}),
+    ("simulate", {**VALID_CONFIGS["simulate"], "waveform": "isac-optimal"}),
+])
+def test_negative_max_iter_exits_2(tmp_path, capsys, mode, extra):
+    payload = {"mode": mode, **extra, "max_iter": -1}
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error: max_iter: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    # no iteration at all is a valid cap: the projected start, reported as capped
+    payload["max_iter"] = 0
+    assert main(["--config", write_config(tmp_path, payload)]) == 0
+
+
 def test_integral_float_counts_run_as_their_integers(tmp_path):
     runs = {}
     for kind in (int, float):

@@ -16,14 +16,15 @@ from cas_limits import (
     sweep_snr,
 )
 from cas_limits import waveform
-from cas_limits.gaussian import channel_mi, gram_spectrum
+from cas_limits.gaussian import GramMatrix, channel_mi, gram_spectrum
 from cas_limits.waveform import (
     CONVERGED_STOPS,
     CSV_COLUMNS,
-    _backtrack,
+    _descend,
     _gradient,
     _objective,
     _project,
+    _scan,
     _split_scores,
     _waterfill,
     curve_rows,
@@ -294,35 +295,41 @@ def _poisoned_objective(values_per_call):
     return fake
 
 
-def test_non_finite_totals_past_where_the_scan_stops_are_ignored(monkeypatch):
-    model = random_trm_model(2, n=4, m_s=2, m_c=2, t=8)
-    qa = (model.trace_budget / model.n) * np.eye(model.n, dtype=np.complex128)
-    direction = _gradient(model, qa)
-    direction = 2.0 * direction - np.diag(np.diag(direction))
-    f, step, nan = 10.0, 1e-3, float("nan")
-    candidate = lambda k: _project(qa - step * 0.5**k * direction, model.trace_budget)  # noqa: E731
+def test_non_finite_totals_past_where_the_scan_stops_are_ignored():
+    f, nan = 10.0, float("nan")
+    steps = [1e-3 * 0.5**k for k in range(4)]
+    moves = [4.0, 2.0, 1.0, 0.5]
 
     # accepted at the third candidate; the one after it is not finite
-    monkeypatch.setattr(waveform, "_objective",
-                        _poisoned_objective([[f + 1.0], [f + 1.0, f - 1.0, nan, nan]]))
-    stop, q, f_new, t = _backtrack(model, qa, f, direction, step, 0.0)
-    assert (stop, f_new, t) == (None, f - 1.0, step * 0.25)
-    assert q.tobytes() == candidate(2).tobytes()
+    assert _scan(f, 0.0, steps, moves, [f + 1.0, f + 1.0, f - 1.0, nan]) == (2, None)
 
     # a non-finite total before the accepted one raises
-    monkeypatch.setattr(waveform, "_objective",
-                        _poisoned_objective([[f + 1.0], [nan, f - 1.0, nan, nan]]))
     with pytest.raises(NonFiniteObjective):
-        _backtrack(model, qa, f, direction, step, 0.0)
+        _scan(f, 0.0, steps, moves, [f + 1.0, nan, f - 1.0, nan])
 
-    # the second candidate moves less than the threshold: the search stops there,
+    # the second candidate moves less than the threshold: the scan stops there,
     # and the non-finite totals at and after it are never looked at
-    moves = [np.sum(np.abs(candidate(k) - qa) ** 2) for k in (0, 1)]
-    monkeypatch.setattr(waveform, "_objective",
-                        _poisoned_objective([[f + 1.0], [nan, nan, nan, nan]]))
-    stop, q, f_new, t = _backtrack(model, qa, f, direction, step, 0.5 * (moves[0] + moves[1]))
-    assert (stop, f_new, t) == ("no_move", f, step * 0.5)
-    assert q is qa
+    assert _scan(f, 3.0, steps, moves, [f + 1.0, nan, nan, nan]) == (1, "no_move")
+    assert _scan(f, 0.0, steps, moves, [f + 1.0] * 4) is None
+
+
+def test_each_lockstep_run_scans_only_its_own_candidates(monkeypatch):
+    # two runs in lockstep: the second chunk of the line search holds four candidates
+    # per run, and each run reads only its own four
+    model = random_trm_model(2, n=4, m_s=2, m_c=2, t=8)
+    budgets = [model.trace_budget, 3.0 * model.trace_budget]
+    nan = float("nan")
+    monkeypatch.setattr(waveform, "_objective", _poisoned_objective([
+        [10.0, 10.0], [11.0, 11.0], [11.0, 9.0, nan, nan] + [nan, 9.0, nan, nan]]))
+    accepted, failed = _descend(model, budgets, [None, None], max_iter=1)
+    assert isinstance(failed, NonFiniteObjective)
+    assert (accepted.stop, accepted.iterations) == ("max_iter", 1)
+    budget = budgets[0]
+    qa = _project((budget / model.n) * np.eye(model.n, dtype=np.complex128), budget)
+    g = _gradient(model, qa)
+    step = 2.0 * (budget / model.n)    # the first line search doubles the start step
+    third = _project(qa - step * 0.25 * (2.0 * g - np.diag(np.diag(g))), budget)
+    assert accepted.q_star.q.tobytes() == GramMatrix(third, trace_limit=budget).q.tobytes()
 
 
 def test_rate_never_exceeds_the_channel_mi(rng):
@@ -486,21 +493,89 @@ def test_single_point_sweep_equals_direct_calls():
     )
 
 
+def _result_key(res):
+    return (res.q_star.q.tobytes(), res.point, res.stop, res.iterations, res.fw_gap,
+            res.converged)
+
+
+@pytest.mark.parametrize("model, snr_db, max_iter", [
+    (crossover_trm_model(), np.linspace(-10.0, 30.0, 9).tolist(), waveform.MAX_ITER),
+    (random_trm_model(6, n=8, m_s=2, m_c=3, t=16), [-5.0, 5.0, 15.0, 25.0], waveform.MAX_ITER),
+    # some runs hit the cap of 5, the rest stop on "no_move" before it
+    (random_trm_model(4, n=4, m_s=2, m_c=2, t=8), np.linspace(-10.0, 30.0, 9).tolist(), 5),
+], ids=["criterion-7", "n8", "capped"])
+def test_sweep_descends_each_point_as_optimize_isac_does_alone(model, snr_db, max_iter):
+    curve = sweep_snr(model, snr_db, schemes=("isac",), max_iter=max_iter)
+    stops = set()
+    for snr, res in zip(snr_db, curve.results["isac"]):
+        alone = optimize_isac(replace(model, power=10.0 ** (snr / 10.0) * model.noise_c),
+                              max_iter=max_iter)
+        assert _result_key(res) == _result_key(alone)
+        stops.add(res.stop)
+    if max_iter == 5:
+        assert stops == {"max_iter", "no_move"}
+
+
+def _failing_objective_above(trace, fail):
+    """``_objective``, with ``fail`` applied where a Gram's trace exceeds ``trace``."""
+    objective = waveform._objective
+
+    def fake(model, qa):
+        totals = np.atleast_1d(objective(model, qa))
+        return fail(totals, np.trace(qa, axis1=-2, axis2=-1).real > trace)
+
+    return fake
+
+
 def test_sweep_isolates_per_point_failures(monkeypatch):
     model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
-    isac = waveform.optimize_isac
+    alone = optimize_isac(model, max_iter=100)   # 0 dB at unit noise
 
-    def fails_at_5db(m, **kwargs):
-        if m.power > 2.0 * model.noise_c:
-            raise NonFiniteObjective("injected")
-        return isac(m, **kwargs)
+    def nan_rows(totals, over):
+        return np.where(over, np.nan, totals)
 
-    monkeypatch.setattr(waveform, "optimize_isac", fails_at_5db)
+    # NaN for the Grams of the 5 dB budget only: only its run fails
+    monkeypatch.setattr(waveform, "_objective",
+                        _failing_objective_above(2.0 * model.t * model.noise_c, nan_rows))
     curve = sweep_snr(model, [0.0, 5.0], split_grid=11, max_iter=100)
     assert all(r is not None for r in curve.results["sw"])
     assert curve.results["isac"][0] is not None and curve.errors["isac"][0] is None
+    assert _result_key(curve.results["isac"][0]) == _result_key(alone)
     assert curve.results["isac"][1] is None
-    assert curve.errors["isac"][1] == "NonFiniteObjective: injected"
+    assert curve.errors["isac"][1] == (
+        "NonFiniteObjective: objective evaluated to a non-finite value")
+
+
+def test_sweep_pins_an_error_of_the_lockstep_call_to_its_point(monkeypatch):
+    model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
+    alone = optimize_isac(model, max_iter=100)
+
+    def raise_on_rows(totals, over):
+        if over.any():
+            raise RuntimeError("injected")
+        return totals
+
+    # the stacked call raises as soon as one 5 dB Gram is in it
+    monkeypatch.setattr(waveform, "_objective",
+                        _failing_objective_above(2.0 * model.t * model.noise_c, raise_on_rows))
+    curve = sweep_snr(model, [0.0, 5.0], split_grid=11, max_iter=100)
+    assert all(r is not None for r in curve.results["sw"])
+    assert _result_key(curve.results["isac"][0]) == _result_key(alone)
+    assert curve.errors["isac"] == [None, "RuntimeError: injected"]
+    assert curve.results["isac"][1] is None
+
+
+def test_negative_max_iter_is_rejected_and_zero_is_valid(monkeypatch):
+    model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
+    start = optimize_isac(model, max_iter=0)
+    assert (start.stop, start.iterations, start.converged) == ("max_iter", 0, False)
+    with pytest.raises(ValueError, match="max_iter"):
+        optimize_isac(model, max_iter=-3)
+    # before the first point: no solver is reached
+    for name in ("_descend", "optimize_isac", "optimize_sw"):
+        monkeypatch.setattr(waveform, name, None)
+    with pytest.raises(ValueError, match="max_iter"):
+        sweep_snr(model, [0.0, 5.0], max_iter=-1)
 
 
 @pytest.mark.parametrize("schemes", [("sw", "bogus"), ("sw", "sw"), "sw"])
