@@ -1,7 +1,9 @@
 """Command-line surface: load models, run solvers and sweeps, emit curves.
 
 All randomness is controlled by a single top-level seed; outputs are written
-atomically (temp file + rename). Rates print in nats unless --bits is given.
+atomically (temp file + rename), every JSON artifact by ``Config.write``.
+Rates print in nats unless --bits is given; snr-sweep and simulate, whose
+artifacts are in nats, reject it.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error, 4 I/O error.
 """
@@ -28,16 +30,6 @@ from .modelio import (
     load_trm_model,
     pairs_to_complex,
     write_json,
-)
-
-MODES = (
-    "discrete-capacity",
-    "discrete-rd",
-    "discrete-tradeoff",
-    "trm-optimize",
-    "trm-sw",
-    "snr-sweep",
-    "simulate",
 )
 
 # keys that name an output file or directory; each must be a string when set
@@ -69,6 +61,8 @@ class Config:
                 raise ConfigError(f"{key}: must be a path string, got {data[key]!r}")
         self.seed = self.value("seed", integer, 0)
         self.bits = self.flag("bits", False)
+        if self.bits and mode in ("snr-sweep", "simulate"):
+            raise ConfigError(f"bits: not an option in mode {mode}; its artifacts are in nats")
         self.out_dir = self.value("out_dir", default=".")
         self.trials = self.value("trials", integer, 10_000)
         self.grid = self.value("grid", finite, 1e-3)
@@ -111,9 +105,18 @@ class Config:
         return os.path.join(self.base_dir, rel)
 
     def out_path(self, rel: str) -> str:
-        out = self.out_dir if os.path.isabs(self.out_dir) else os.path.join(self.base_dir, self.out_dir)
+        out = self.path(self.out_dir)
         os.makedirs(out, exist_ok=True)
         return os.path.join(out, rel)
+
+    def write(self, payload: dict, default: str, key: str = "output") -> str:
+        """Write ``payload`` as JSON to the output path in field ``key``, else ``default``.
+
+        Every JSON artifact of every mode goes through here; returns the path written.
+        """
+        out = self.out_path(self.value(key, default=default))
+        write_json(payload, out)
+        return out
 
     def trm_model(self) -> TrmModel:
         spec = self.value("model")
@@ -158,8 +161,7 @@ def _run_discrete_capacity(cfg: Config) -> list[str]:
         "d_s": d_s,
         "budget": budget,
     }
-    out = cfg.out_path(cfg.value("output", default="capacity.json"))
-    write_json(payload, out)
+    out = cfg.write(payload, "capacity.json")
     print(f"constrained capacity: {payload['capacity']:.6f} {payload['units']}")
     return [out]
 
@@ -177,8 +179,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
         "d_c": d_c,
         "test_channel": cond.tolist(),
     }
-    out = cfg.out_path(cfg.value("output", default="rate_distortion.json"))
-    write_json(payload, out)
+    out = cfg.write(payload, "rate_distortion.json")
     print(f"rate at d_c={d_c}: {payload['rate']:.6f} {payload['units']}")
     return [out]
 
@@ -186,9 +187,7 @@ def _run_discrete_rd(cfg: Config) -> list[str]:
 def _run_discrete_tradeoff(cfg: Config) -> list[str]:
     model = load_finite_cas_model(cfg.path(cfg.value("model", str)))
     point = discrete.min_total_distortion(model, cfg.value("budget", finite), grid=cfg.grid)
-    payload = _point_payload(point, cfg.bits)
-    out = cfg.out_path(cfg.value("output", default="tradeoff.json"))
-    write_json(payload, out)
+    out = cfg.write(_point_payload(point, cfg.bits), "tradeoff.json")
     print(
         f"min total distortion: {point.d_total:.6f} "
         f"(d_s={point.d_s:.6f}, d_c={point.d_c:.6f})"
@@ -208,8 +207,7 @@ def _run_trm_optimize(cfg: Config) -> list[str]:
         "fw_gap": res.fw_gap,
         "q_star": complex_to_pairs(res.q_star.q),
     }
-    out = cfg.out_path(cfg.value("output", default="isac_optimize.json"))
-    write_json(payload, out)
+    out = cfg.write(payload, "isac_optimize.json")
     print(
         f"isac optimum: total D={res.point.d_total:.6f} "
         f"(converged={res.converged}, stop={res.stop}, iterations={res.iterations})"
@@ -228,37 +226,32 @@ def _run_trm_sw(cfg: Config) -> list[str]:
         "q_sensing": complex_to_pairs(q_s.q),
         "q_comm": complex_to_pairs(q_c.q),
     }
-    out = cfg.out_path(cfg.value("output", default="sw_optimize.json"))
-    write_json(payload, out)
+    out = cfg.write(payload, "sw_optimize.json")
     print(f"sw optimum: total D={res.point.d_total:.6f} at rho={res.rho:.4f}")
     return [out]
 
 
 def _run_snr_sweep(cfg: Config) -> list[str]:
     template = cfg.trm_model()
-    snr_db = cfg.value("snr_db", lambda v: [float(s) for s in v])
-    if (not isinstance(cfg.data["snr_db"], list) or not snr_db
-            or not all(map(math.isfinite, snr_db)) or snr_db != sorted(snr_db)):
-        raise ConfigError(f"snr_db: must be a nonempty nondecreasing list of finite numbers; "
-                          f"got {cfg.data['snr_db']!r}")
-    schemes = cfg.data.get("schemes", ["isac", "sw"])
-    if (not isinstance(schemes, list) or not schemes
-            or any(s not in ("isac", "sw") for s in schemes) or len(set(schemes)) < len(schemes)):
-        raise ConfigError(f"schemes: must be a nonempty list of distinct 'isac' and 'sw'; "
-                          f"got {schemes!r}")
-    curve = waveform.sweep_snr(
-        template,
-        snr_db,
-        schemes=tuple(schemes),
-        split_grid=cfg.split_grid(),
-        max_iter=cfg.max_iter(),
-    )
+    # sweep_snr owns the rules for the grid and the schemes; JSON only has to give lists
+    snr_db, schemes = cfg.value("snr_db"), cfg.data.get("schemes", ["isac", "sw"])
+    for name, raw in (("snr_db", snr_db), ("schemes", schemes)):
+        if not isinstance(raw, list):
+            raise ConfigError(f"{name}: must be a list; got {raw!r}")
+    snr_db = convert("snr_db", snr_db, lambda v: [float(s) for s in v])
+    split_grid, max_iter = cfg.split_grid(), cfg.max_iter()
+    try:
+        curve = waveform.sweep_snr(template, snr_db, schemes=tuple(schemes),
+                                   split_grid=split_grid, max_iter=max_iter)
+    except ValueError as exc:   # raised up front only; a failed point is recorded instead
+        raise ConfigError(str(exc)) from exc
+    rows = waveform.curve_rows(curve)
     out_csv = cfg.out_path(cfg.value("output_csv", default="sweep.csv"))
-    out_json = cfg.out_path(cfg.value("output_json", default="sweep.json"))
     waveform.write_curve_csv(curve, out_csv)
-    waveform.write_curve_json(curve, out_json)
+    out_json = cfg.write({"snr_db": curve.snr_db, "rows": rows, "errors": curve.errors},
+                         "sweep.json", key="output_json")
     print(f"{'snr_db':>8} {'scheme':>6} {'d_total':>12} {'converged':>9}")
-    for row in waveform.curve_rows(curve):
+    for row in rows:
         print(
             f"{row['snr_db']:8.2f} {row['scheme']:>6} "
             f"{row['d_total']:12.6f} {str(row['converged']):>9}"
@@ -303,8 +296,7 @@ def _run_simulate(cfg: Config) -> list[str]:
         )
     else:
         report = simulate.simulate_sensing(model, x, cfg.trials, cfg.seed, dump_path=dump_path)
-    out = cfg.out_path(cfg.value("output", default="simulation.json"))
-    report.to_json(out)
+    out = cfg.write(report.as_dict(), "simulation.json")
     print(
         f"simulated {cfg.trials} trials: d_s={report.d_s_emp:.6f} "
         f"(analytic {report.d_s_analytic:.6f})"
@@ -320,15 +312,17 @@ def _run_simulate(cfg: Config) -> list[str]:
     return artifacts
 
 
-_RUNNERS = {
-    "discrete-capacity": _run_discrete_capacity,
-    "discrete-rd": _run_discrete_rd,
-    "discrete-tradeoff": _run_discrete_tradeoff,
-    "trm-optimize": _run_trm_optimize,
-    "trm-sw": _run_trm_sw,
-    "snr-sweep": _run_snr_sweep,
-    "simulate": _run_simulate,
+# mode -> (runner, what it computes); MODES, the mode check and --help all read it
+_MODE_TABLE = {
+    "discrete-capacity": (_run_discrete_capacity, "constrained channel capacity"),
+    "discrete-rd": (_run_discrete_rd, "rate-distortion function"),
+    "discrete-tradeoff": (_run_discrete_tradeoff, "min total distortion sweep"),
+    "trm-optimize": (_run_trm_optimize, "ISAC Gram optimization"),
+    "trm-sw": (_run_trm_sw, "separated-waveform baseline"),
+    "snr-sweep": (_run_snr_sweep, "scheme comparison over SNR"),
+    "simulate": (_run_simulate, "Monte Carlo validation"),
 }
+MODES = tuple(_MODE_TABLE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,15 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Compute fundamental limits of communication-assisted sensing. "
             "The config file selects one of the modes: " + ", ".join(MODES) + "."
         ),
-        epilog=(
-            "modes: discrete-capacity (constrained channel capacity), "
-            "discrete-rd (rate-distortion function), "
-            "discrete-tradeoff (min total distortion sweep), "
-            "trm-optimize (ISAC Gram optimization), "
-            "trm-sw (separated-waveform baseline), "
-            "snr-sweep (scheme comparison over SNR), "
-            "simulate (Monte Carlo validation)."
-        ),
+        epilog="modes: " + ", ".join(f"{mode} ({what})"
+                                     for mode, (_, what) in _MODE_TABLE.items()) + ".",
     )
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -379,7 +366,7 @@ def main(argv=None) -> int:
         if args.grid is not None:
             data["grid"] = args.grid
         cfg = Config(data, base_dir=os.path.dirname(os.path.abspath(args.config)))
-        artifacts = _RUNNERS[cfg.mode](cfg)
+        artifacts = _MODE_TABLE[cfg.mode][0](cfg)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,8 @@ class TrmModel:
     noise_s, noise_c : per-entry noise powers (finite, > 0).
     t : number of transmit symbols (T >= N).
     m_s : number of sensing receive antennas.
-    power : total power budget P_T (finite, > 0); the Gram trace is capped at T * P_T.
+    power : total power budget P_T (finite, > 0); the Gram trace is capped at T * P_T,
+        which must be a finite float too.
 
     A non-finite entry anywhere raises ValueError.
     """
@@ -83,6 +84,13 @@ class TrmModel:
             raise ValueError("m_s must be at least 1")
         if not 0 < self.power < np.inf:
             raise ValueError("power budget must be positive and finite")
+        try:
+            finite_budget = self.t * self.power < np.inf
+        except OverflowError:   # a t too large to convert to a float
+            finite_budget = False
+        if not finite_budget:
+            raise ValueError(
+                f"trace budget t * power must be a finite float; got power {self.power!r}")
 
     @property
     def n(self) -> int:

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import TrmModel, mmse_filter, reverse_waterfill, sensing_mse
-from .modelio import atomic_write_file, write_json
+from .modelio import atomic_write_file
 
 _BATCH = 4096
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# (sums key, mean field, standard-error field) per metric; only the first for sensing alone
+_METRICS = (("d_s", "d_s_emp", "d_s_se"), ("d_c", "d_c_emp", "d_c_se"),
+            ("d", "d_total_emp", "d_total_se"), ("x", "cross_mean", "cross_se"))
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,6 @@ class SimReport:
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    def to_json(self, path) -> None:
-        write_json(self.as_dict(), path)
 
 
 def _draw_complex_normal(rng, shape, scratch) -> np.ndarray:
@@ -240,6 +240,21 @@ def _run_chain(
     return sums, chain.analytic_d_c
 
 
+def _report(model, x, rate_budget, n_trials, seed, dump_path) -> SimReport:
+    """Run the chain and fill a SimReport; without a rate budget, sensing alone."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    sums, d_c_analytic = _run_chain(model, x, rate_budget, n_trials, seed, dump_path)
+    x = np.asarray(x, dtype=np.complex128)
+    fields = {"d_s_analytic": sensing_mse(model, x @ x.conj().T)}
+    for key, mean, se in _METRICS if rate_budget is not None else _METRICS[:1]:
+        fields[mean], fields[se] = _mean_se(sums[key], sums[key + "2"], n_trials)
+    if rate_budget is not None:
+        fields["d_c_analytic"] = d_c_analytic
+        fields["d_total_analytic"] = fields["d_s_analytic"] + d_c_analytic
+    return SimReport(n_trials=n_trials, seed=seed, **fields)
+
+
 def simulate_sensing(
     model: TrmModel,
     x: np.ndarray,
@@ -253,18 +268,7 @@ def simulate_sensing(
     draws the normals one batch ahead of the computation, and the report and
     dump are bit-identical to a serial run.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    sums, _ = _run_chain(model, x, None, n_trials, seed, dump_path)
-    d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)
-    x = np.asarray(x, dtype=np.complex128)
-    return SimReport(
-        n_trials=n_trials,
-        seed=seed,
-        d_s_emp=d_s_emp,
-        d_s_se=d_s_se,
-        d_s_analytic=sensing_mse(model, x @ x.conj().T),
-    )
+    return _report(model, x, None, n_trials, seed, dump_path)
 
 
 def simulate_end_to_end(
@@ -283,29 +287,6 @@ def simulate_end_to_end(
     from one RNG stream and run one batch ahead on one helper thread, as in
     ``simulate_sensing``, bit-identical to serial.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     if not rate_budget >= 0:
         raise ValueError("rate_budget must be nonnegative")
-    sums, analytic_d_c = _run_chain(model, x, rate_budget, n_trials, seed, dump_path)
-    d_s_emp, d_s_se = _mean_se(sums["d_s"], sums["d_s2"], n_trials)
-    d_c_emp, d_c_se = _mean_se(sums["d_c"], sums["d_c2"], n_trials)
-    d_emp, d_se = _mean_se(sums["d"], sums["d2"], n_trials)
-    x_mean, x_se = _mean_se(sums["x"], sums["x2"], n_trials)
-    x = np.asarray(x, dtype=np.complex128)
-    d_s_analytic = sensing_mse(model, x @ x.conj().T)
-    return SimReport(
-        n_trials=n_trials,
-        seed=seed,
-        d_s_emp=d_s_emp,
-        d_s_se=d_s_se,
-        d_s_analytic=d_s_analytic,
-        d_c_emp=d_c_emp,
-        d_c_se=d_c_se,
-        d_c_analytic=analytic_d_c,
-        d_total_emp=d_emp,
-        d_total_se=d_se,
-        d_total_analytic=d_s_analytic + analytic_d_c,
-        cross_mean=x_mean,
-        cross_se=x_se,
-    )
+    return _report(model, x, rate_budget, n_trials, seed, dump_path)

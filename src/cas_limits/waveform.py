@@ -32,7 +32,7 @@ from .gaussian import (
     sensing_mse,
     water_level,
 )
-from .modelio import atomic_write_file, write_json
+from .modelio import atomic_write_file
 from .types import TradeoffPoint
 
 FTOL = 1e-8             # stop when the objective drops less than this over WINDOW
@@ -450,23 +450,34 @@ def sweep_snr(
     ``optimize_isac`` takes at its point alone. Per-point failures are
     recorded instead of aborting the sweep; should the lockstep call itself
     raise, each point is rerun alone so that the error lands on its point.
-    A non-finite SNR, an unknown or repeated scheme name, a split_grid
-    below 2 and a negative max_iter raise ValueError before the first point.
+    These raise ValueError before the first point: an empty, decreasing or
+    non-finite snr_db, or an SNR whose power or trace budget is not a
+    positive finite float (messages "snr_db: ..."); an empty schemes, or an
+    unknown or repeated scheme name ("schemes: ..."); a split_grid below 2
+    and a negative max_iter.
     """
     snr_db = [float(s) for s in snr_db]
     if not snr_db:
-        raise ValueError("snr_db must be nonempty")
+        raise ValueError("snr_db: must be nonempty")
     if not all(map(np.isfinite, snr_db)):
-        raise ValueError(f"snr_db must be finite; got {snr_db!r}")
+        raise ValueError(f"snr_db: must be finite; got {snr_db!r}")
     if any(b < a for a, b in zip(snr_db, snr_db[1:])):
-        raise ValueError("snr_db grid must be nondecreasing")
+        raise ValueError("snr_db: must be nondecreasing")
     if split_grid < 2:
         raise ValueError("split_grid must be at least 2")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative; got {max_iter}")
-    if any(s not in ("isac", "sw") for s in schemes) or len(set(schemes)) < len(schemes):
-        raise ValueError(f"schemes must be distinct names out of 'isac' and 'sw'; got {schemes!r}")
-    models = [replace(template, power=10.0 ** (snr / 10.0) * template.noise_c) for snr in snr_db]
+    if (not schemes or any(s not in ("isac", "sw") for s in schemes)
+            or len(set(schemes)) < len(schemes)):
+        raise ValueError(f"schemes: must be distinct names out of 'isac' and 'sw', at least "
+                         f"one; got {schemes!r}")
+    models = []
+    for snr in snr_db:
+        try:    # 10 ** (snr / 10) overflows, or TrmModel rejects the power or T P_T
+            models.append(replace(template, power=10.0 ** (snr / 10.0) * template.noise_c))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"snr_db: {snr!r} dB gives a power or trace budget that is not "
+                             f"a positive finite float") from exc
 
     def attempt(solve, *args, **kwargs):
         try:
@@ -529,8 +540,3 @@ def write_curve_csv(curve: SweepCurve, path) -> None:
                 writer.writerow(out)
 
     atomic_write_file(write, path)
-
-
-def write_curve_json(curve: SweepCurve, path) -> None:
-    payload = {"snr_db": curve.snr_db, "rows": curve_rows(curve), "errors": curve.errors}
-    write_json(payload, path)

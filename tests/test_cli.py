@@ -300,6 +300,8 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
     ("d_s", float("nan")),
     ("budget", float("nan")),
     ("grid", 0.0),
+    ("snr_db", [4000.0]),
+    ("snr_db", [-4000.0]),
 ])
 def test_malformed_config_value_exits_2(tmp_path, tmp_path_factory, capsys, field, value):
     mode = MODE_OF_FIELD.get(field, "discrete-rd")
@@ -364,6 +366,8 @@ def test_nan_grid_flag_exits_2(tmp_path, finite_model_path, capsys):
     ("power", float("nan"), "power budget must be positive and finite"),
     ("sigma_s", [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
      "sigma_s and h_c must be finite"),
+    # t = 4, so T P_T overflows
+    ("power", 1e308, "trace budget t * power must be a finite float"),
 ])
 def test_model_file_with_a_non_finite_value_exits_2(tmp_path, capsys, field, value, message):
     save_trm_model(random_trm_model(2, n=2, m_s=2, m_c=2, t=4), tmp_path / "trm.json")
@@ -373,6 +377,61 @@ def test_model_file_with_a_non_finite_value_exits_2(tmp_path, capsys, field, val
     assert main(["--config", cfg]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "sw_optimize.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["trm-sw", "trm-optimize"])
+def test_generator_whose_trace_budget_overflows_exits_2(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path, {"mode": mode, "model": {"seed": 2, "n": 2, "m_s": 2,
+                                                          "m_c": 2, "t": 4, "power": 1e308}})
+    assert main(["--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: model generator: trace budget t * power must be a finite float")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("mode", ["snr-sweep", "simulate"])
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_bits_is_rejected_where_no_rate_is_converted(tmp_path, capsys, mode, how):
+    # the sweep writes rate_nats and mi_nats, and a simulation reports no rate
+    payload = {"mode": mode, **VALID_CONFIGS[mode]}
+    if how == "config":
+        payload["bits"] = True
+    argv = ["--config", write_config(tmp_path, payload)] + (["--bits"] if how == "flag" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: bits: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    payload["bits"] = False
+    assert main(["--config", write_config(tmp_path, payload)]) == 0
+
+
+def test_every_json_artifact_goes_through_config_write(tmp_path, tmp_path_factory, monkeypatch):
+    from cas_limits.cli import Config
+
+    written = []
+    write = Config.write
+
+    def recording_write(self, payload, default, key="output"):
+        path = write(self, payload, default, key)
+        written.append(Path(path).resolve())
+        return path
+
+    monkeypatch.setattr(Config, "write", recording_write)
+    model_path = tmp_path_factory.mktemp("model") / "finite.json"
+    save_finite_cas_model(binary_sensing_model(0.9, 0.6), model_path)
+    configs = {**VALID_CONFIGS,
+               "discrete-tradeoff": {"budget": 1.0, "grid": 0.01},
+               "trm-optimize": {"model": {"seed": 2, "n": 2, "m_s": 2, "m_c": 2, "t": 4}}}
+    assert sorted(configs) == sorted(MODES)
+    for mode, extra in configs.items():
+        out = tmp_path / mode
+        out.mkdir()
+        payload = {"mode": mode, **extra}
+        if mode.startswith("discrete-") and mode != "discrete-rd":
+            payload["model"] = str(model_path)
+        written.clear()
+        assert main(["--config", write_config(out, payload)]) == 0
+        artifacts = {p.resolve() for p in out.glob("*.json") if p.name != "config.json"}
+        assert artifacts and sorted(written) == sorted(artifacts), mode
 
 
 @pytest.mark.parametrize("end_to_end", [True, False])

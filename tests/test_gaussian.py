@@ -335,6 +335,9 @@ def test_trm_model_validation():
     ("noise_c", float("inf")),
     ("sigma_s", [[float("nan"), 0.0], [0.0, 1.0]]),
     ("h_c", [[1.0, float("inf")], [0.0, 1.0]]),
+    # a finite power whose trace budget T P_T overflows, and a t too large for a float
+    ("power", 1e308),
+    pytest.param("t", 10**400, id="t-10**400"),
 ])
 def test_trm_model_rejects_non_finite_values(field, value):
     kwargs = dict(sigma_s=np.eye(2), h_c=np.eye(2), noise_s=1.0, noise_c=1.0, t=4, m_s=1,

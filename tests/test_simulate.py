@@ -142,11 +142,13 @@ def test_trial_dump_memory_does_not_grow_with_trials(tmp_path):
 def test_report_serializes_to_json(tmp_path):
     import json
 
+    from cas_limits.cli import Config
+
     model = scalar_trm_model(power=3.0, t=1)
     rep = simulate_sensing(model, np.array([[np.sqrt(3.0)]]), 1_000, seed=10)
-    path = tmp_path / "report.json"
-    rep.to_json(path)
-    payload = json.loads(path.read_text())
+    # the one JSON writer of the CLI, which writes the simulate artifact
+    Config({"mode": "simulate"}, str(tmp_path)).write(rep.as_dict(), "report.json")
+    payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["n_trials"] == 1_000
     assert payload["d_c_emp"] is None
 

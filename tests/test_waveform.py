@@ -31,7 +31,6 @@ from cas_limits.waveform import (
     evaluate_gram,
     sw_point,
     write_curve_csv,
-    write_curve_json,
 )
 
 from helpers import (
@@ -578,7 +577,7 @@ def test_negative_max_iter_is_rejected_and_zero_is_valid(monkeypatch):
         sweep_snr(model, [0.0, 5.0], max_iter=-1)
 
 
-@pytest.mark.parametrize("schemes", [("sw", "bogus"), ("sw", "sw"), "sw"])
+@pytest.mark.parametrize("schemes", [("sw", "bogus"), ("sw", "sw"), "sw", ()])
 def test_sweep_rejects_bad_scheme_names_before_the_first_point(schemes):
     # a failure at a point is recorded, not raised, so a raise comes from the up-front check
     model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
@@ -590,8 +589,19 @@ def test_sweep_rejects_bad_scheme_names_before_the_first_point(schemes):
 def test_sweep_rejects_non_finite_snr_before_the_first_point(monkeypatch, snr_db):
     monkeypatch.setattr(waveform, "optimize_isac", None)
     monkeypatch.setattr(waveform, "optimize_sw", None)
-    with pytest.raises(ValueError, match="snr_db must be finite"):
+    with pytest.raises(ValueError, match="snr_db: must be finite"):
         sweep_snr(scalar_trm_model(), snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [[4000.0], [0.0, 4000.0], [-4000.0], [3080.0]])
+def test_sweep_rejects_an_snr_without_a_finite_power_before_the_first_point(monkeypatch, snr_db):
+    # 10^400 overflows, 10^-400 underflows to a zero power, and at 3080 dB the power is
+    # finite but T P_T is not
+    for name in ("_descend", "optimize_isac", "optimize_sw"):
+        monkeypatch.setattr(waveform, name, None)
+    model = random_trm_model(15, n=2, m_s=2, m_c=2, t=4)
+    with pytest.raises(ValueError, match=r"snr_db: .* dB gives a power or trace budget"):
+        sweep_snr(model, snr_db)
 
 
 @pytest.mark.parametrize("schemes", [("isac", "sw"), ("sw",), ("isac",)])
@@ -644,10 +654,17 @@ def test_failed_csv_write_keeps_the_earlier_file(tmp_path, monkeypatch):
 def test_curve_json_contains_all_rows(tmp_path):
     import json
 
-    model = random_trm_model(17, n=2, m_s=2, m_c=2, t=4)
-    curve = sweep_snr(model, [0.0], split_grid=11, max_iter=100)
-    path = tmp_path / "curve.json"
-    write_curve_json(curve, path)
-    payload = json.loads(path.read_text())
+    from cas_limits.cli import main
+
+    gen = {"seed": 17, "n": 2, "m_s": 2, "m_c": 2, "t": 4}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "snr-sweep", "model": gen, "snr_db": [0.0],
+                                  "split_grid": 11, "max_iter": 100,
+                                  "output_json": "curve.json"}))
+    assert main(["--config", str(config)]) == 0
+    payload = json.loads((tmp_path / "curve.json").read_text())
     assert payload["snr_db"] == [0.0]
     assert len(payload["rows"]) == 2
+    curve = sweep_snr(random_trm_model(**gen), [0.0], split_grid=11, max_iter=100)
+    assert payload["rows"] == curve_rows(curve)
+    assert payload["errors"] == curve.errors
