@@ -28,6 +28,7 @@ from .modelio import (
     integer,
     load_finite_cas_model,
     load_trm_model,
+    number,
     pairs_to_complex,
     write_json,
 )
@@ -238,7 +239,7 @@ def _run_snr_sweep(cfg: Config) -> list[str]:
     for name, raw in (("snr_db", snr_db), ("schemes", schemes)):
         if not isinstance(raw, list):
             raise ConfigError(f"{name}: must be a list; got {raw!r}")
-    snr_db = convert("snr_db", snr_db, lambda v: [float(s) for s in v])
+    snr_db = convert("snr_db", snr_db, lambda v: [number(s) for s in v])
     split_grid, max_iter = cfg.split_grid(), cfg.max_iter()
     try:
         curve = waveform.sweep_snr(template, snr_db, schemes=tuple(schemes),
@@ -265,9 +266,12 @@ def _run_simulate(cfg: Config) -> list[str]:
     if cfg.trials < 1:
         raise ConfigError("trials: must be at least 1")
     end_to_end = cfg.flag("end_to_end", True)
+    if not end_to_end and "rate_budget" in cfg.data:
+        raise ConfigError("rate_budget: not an option when end_to_end is false; "
+                          "sensing alone has no rate")
     rate_budget = cfg.data.get("rate_budget", "mi")
     if end_to_end and rate_budget != "mi":
-        rate_budget = cfg.value("rate_budget", float)
+        rate_budget = cfg.value("rate_budget", number)
         if not rate_budget >= 0:
             raise ConfigError("rate_budget: must be nonnegative")
     model = cfg.trm_model()

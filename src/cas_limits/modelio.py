@@ -48,15 +48,25 @@ def write_json(payload, path) -> None:
     atomic_write_file(write, path)
 
 
+def number(raw) -> float:
+    """``raw`` as a float; a boolean is an error, though ``float()`` takes a JSON true as 1."""
+    if isinstance(raw, bool):
+        raise ValueError(f"must be a number, got {str(raw).lower()}")
+    return float(raw)
+
+
 def integer(raw) -> int:
-    """``raw`` as an int; a number with a fractional part is an error, not truncated."""
+    """``raw`` as an int; a boolean, or a number with a fractional part, is an error."""
+    if isinstance(raw, bool):
+        raise ValueError(f"must be an integer, got {str(raw).lower()}")
     if isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"must be an integer, got {raw!r}")
     return int(raw)
 
 
 def finite(raw) -> float:
-    value = float(raw)
+    """``raw`` as a finite float; a boolean is an error."""
+    value = number(raw)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {raw!r}")
     return value
@@ -136,11 +146,11 @@ def load_trm_model(path) -> TrmModel:
         return TrmModel(
             sigma_s=pairs_to_complex(data["sigma_s"], f"{path}: sigma_s"),
             h_c=pairs_to_complex(data["h_c"], f"{path}: h_c"),
-            noise_s=float(data["noise_s"]),
-            noise_c=float(data["noise_c"]),
+            noise_s=convert(f"{path}: noise_s", data["noise_s"], number),
+            noise_c=convert(f"{path}: noise_c", data["noise_c"], number),
             t=convert(f"{path}: t", data["t"], integer),
             m_s=convert(f"{path}: m_s", data["m_s"], integer),
-            power=float(data["power"]),
+            power=convert(f"{path}: power", data["power"], number),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

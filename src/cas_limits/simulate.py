@@ -13,7 +13,6 @@ calibration test in the suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,41 +61,27 @@ class SimReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _draw_complex_normal(rng, shape, scratch) -> np.ndarray:
-    """Unit-variance complex normals: all real parts are drawn, then all imaginary parts.
+def _draw_batch(rng, raw) -> np.ndarray:
+    """Fill ``raw`` with the standard normals of one batch and return it.
 
-    Equal bit for bit to ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    / np.sqrt(2.0)``, since NumPy divides a complex number by a real one as a
-    multiplication by its reciprocal. Both halves are drawn into ``scratch``, a
-    float buffer that the caller reuses.
+    One call draws what the trial loop has always drawn, in its order: the
+    real parts of g, then its imaginary parts, then those of the sensing
+    noise and, end to end, of the test-channel noise. A ``Generator`` caches
+    no normal between calls, so one call gives the values of one call per part.
     """
-    size = math.prod(shape)
-    parts = scratch[: 2 * size].reshape(2, size)
-    rng.standard_normal(out=parts)
-    out = np.empty(shape, dtype=np.complex128)
-    flat = out.reshape(size)
-    np.multiply(parts[0], _INV_SQRT2, out=flat.real)
-    np.multiply(parts[1], _INV_SQRT2, out=flat.imag)
-    return out
+    rng.standard_normal(out=raw)
+    return raw
 
 
-def _draw_batch(rng, nb, dims, end_to_end, scratch):
-    """The normals of one batch, in the order the trial loop has always drawn them."""
-    m_s, n, t = dims
-    g = _draw_complex_normal(rng, (nb, m_s, n), scratch)
-    noise = _draw_complex_normal(rng, (nb, m_s, t), scratch)
-    wnoise = _draw_complex_normal(rng, (nb, m_s, n), scratch) if end_to_end else None
-    return g, noise, wnoise
-
-
-def _matmul(a, b):
-    """``a @ b`` for a stack ``a`` of matrices, as one 2-D product over the stacked rows.
+def _matmul(a, b, out) -> None:
+    """``out[...] = a @ b`` for a stack ``a`` of matrices, as one 2-D product over the stacked rows.
 
     NumPy runs a stacked product as one small product per matrix. With
     OpenBLAS, one GEMM over all rows gives the same bits in a fraction of the
-    time; the suite's serial-reference test checks that.
+    time; the suite's serial-reference test checks that. ``out`` is
+    C-contiguous, so its 2-D reshape is a view.
     """
-    return (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    np.matmul(a.reshape(-1, a.shape[-1]), b, out=out.reshape(-1, b.shape[-1]))
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -106,14 +91,14 @@ def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
 
 
 class _Chain:
-    """The fixed matrices of one simulation and the per-trial metrics of a batch."""
+    """The fixed matrices of one simulation, and the arrays every batch of it reuses."""
 
-    def __init__(self, model: TrmModel, x: np.ndarray, rate_budget: float | None):
+    def __init__(self, model: TrmModel, x: np.ndarray, rate_budget: float | None,
+                 n_trials: int):
         x = np.asarray(x, dtype=np.complex128)
         x_eff = np.sqrt(model.t) * x
         mu, u_sigma = np.linalg.eigh(model.sigma_s)
         sigma_root = (u_sigma * np.sqrt(np.maximum(np.real(mu), 0.0))) @ u_sigma.conj().T
-        self.dims = (model.m_s, model.n, model.t)
         self.end_to_end = rate_budget is not None
         self.sigma_root_t = sigma_root.T
         self.x_eff_conj = x_eff.conj()
@@ -136,32 +121,70 @@ class _Chain:
             self.u_t = u.T
             self.analytic_d_c = rwf.d_c
 
-    def columns(self, g, noise, wnoise) -> list[np.ndarray]:
-        """Per-trial d_s, and for the end-to-end chain d_c, d_total and the cross term.
+        batch, n, t = min(_BATCH, n_trials), model.n, model.t
 
-        Scales ``noise`` and ``wnoise`` in place.
+        def stack(cols):
+            return np.empty((batch, model.m_s, cols), dtype=np.complex128)
+
+        # g, the sensing noise and, end to end, the test-channel noise, in draw order
+        self.inputs = [stack(n), stack(t)] + ([stack(n)] if self.end_to_end else [])
+        self.draws_per_trial = 2 * sum(a[0].size for a in self.inputs)
+        self.s, self.z, self.s_est, self.err_s = stack(n), stack(t), stack(n), stack(n)
+        if self.end_to_end:
+            self.s_hat, self.err_c, self.err_t = stack(n), stack(n), stack(n)
+        self.abs2 = np.empty((batch, model.m_s, n))
+        self.block = np.empty((4 if self.end_to_end else 1, batch))
+
+    def _sq_norms(self, err, out) -> None:
+        """``out[i]`` = the squared Frobenius norm of ``err[i]``."""
+        abs2 = self.abs2[: len(err)]
+        np.abs(err, out=abs2)
+        np.square(abs2, out=abs2)
+        np.sum(abs2, axis=(1, 2), out=out)
+
+    def columns(self, raw, nb) -> np.ndarray:
+        """Per-trial metrics of ``nb`` trials, whose normals ``_draw_batch`` put in ``raw``.
+
+        Rows: d_s, and for the end-to-end chain d_c, d_total and the cross
+        term. Every step writes into the arrays made in ``__init__``, so the
+        next call overwrites the block returned.
         """
-        s = _matmul(g, self.sigma_root_t)
-        z = _matmul(s, self.x_eff_conj)
+        # (re + 1j * im) / sqrt(2) bit for bit: NumPy divides a complex number by a
+        # real one as a multiplication by its reciprocal
+        start = 0
+        for a in self.inputs:
+            flat = a[:nb].reshape(-1)
+            for part in (flat.real, flat.imag):
+                np.multiply(raw[start : start + flat.size], _INV_SQRT2, out=part)
+                start += flat.size
+        g, noise = self.inputs[0][:nb], self.inputs[1][:nb]
+        s, z, s_est, err_s = self.s[:nb], self.z[:nb], self.s_est[:nb], self.err_s[:nb]
+        block = self.block[:, :nb]
+
+        _matmul(g, self.sigma_root_t, s)
+        _matmul(s, self.x_eff_conj, z)
         noise *= self.noise_std
         z += noise
-        s_est = _matmul(z, self.w_t)
-        err_s = s - s_est
-        columns = [np.sum(np.abs(err_s) ** 2, axis=(1, 2))]
+        _matmul(z, self.w_t, s_est)
+        np.subtract(s, s_est, out=err_s)
+        self._sq_norms(err_s, block[0])
         if self.end_to_end:
-            coeff_hat = _matmul(s_est, self.u_conj)
+            wnoise = self.inputs[2][:nb]
+            s_hat, err_c, err_t = self.s_hat[:nb], self.err_c[:nb], self.err_t[:nb]
+            coeff_hat = g  # g is spent once s is computed
+            _matmul(s_est, self.u_conj, coeff_hat)
             coeff_hat *= self.gains
             wnoise *= self.wnoise_std
             coeff_hat += wnoise
-            s_hat = _matmul(coeff_hat, self.u_t)
-            err_c = s_est - s_hat
-            err_t = s - s_hat
-            columns += [
-                np.sum(np.abs(err_c) ** 2, axis=(1, 2)),
-                np.sum(np.abs(err_t) ** 2, axis=(1, 2)),
-                np.sum(np.real(err_s.conj() * err_c), axis=(1, 2)),
-            ]
-        return columns
+            _matmul(coeff_hat, self.u_t, s_hat)
+            np.subtract(s_est, s_hat, out=err_c)
+            np.subtract(s, s_hat, out=err_t)
+            self._sq_norms(err_c, block[1])
+            self._sq_norms(err_t, block[2])
+            cross = np.conjugate(err_s, out=err_s)  # err_s is spent once its row is summed
+            cross *= err_c
+            np.sum(cross.real, axis=(1, 2), out=block[3])
+        return block
 
 
 def _write_rows(fh, columns) -> None:
@@ -179,35 +202,39 @@ def _trial_loop(chain: _Chain, n_trials, seed, fh=None) -> dict:
 
     One helper thread draws each batch while this thread computes and writes the
     one before it. Only the helper touches the generator, so the draws come in
-    the serial order and the results are bit-identical to a serial loop.
+    the serial order and the results are bit-identical to a serial loop. The
+    helper fills two buffers in turn; it starts on batch k + 1 only after this
+    thread is done with batch k - 1, whose buffer it refills.
     """
     # imported here, not at module level: it pulls in logging, and a fresh
     # ``import cas_limits`` should not pay for that when it runs no trials
     from concurrent.futures import ThreadPoolExecutor
 
     sums = dict.fromkeys(["d_s", "d_s2", "d_c", "d_c2", "d", "d2", "x", "x2"], 0.0)
-    m_s, n, t = chain.dims
-    scratch = np.empty(2 * min(_BATCH, n_trials) * m_s * max(n, t))
+    batch = min(_BATCH, n_trials)
+    raws = [np.empty(batch * chain.draws_per_trial) for _ in range(2)]
+    squares = np.empty(batch)
     # the spawned child, not SeedSequence(seed) itself, keeps the bytes of earlier runs
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    def consume(batch):
-        columns = chain.columns(*batch)
-        for key, col in zip(("d_s", "d_c", "d", "x"), columns):
+    def consume(drawn, nb):
+        block = chain.columns(drawn.result(), nb)
+        for key, col in zip(("d_s", "d_c", "d", "x"), block):
             sums[key] += col.sum()
-            sums[key + "2"] += (col**2).sum()
+            sums[key + "2"] += np.square(col, out=squares[:nb]).sum()
         if fh is not None:
-            _write_rows(fh, columns)
+            _write_rows(fh, block)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = None
-        for done in range(0, n_trials, _BATCH):
+        for k, done in enumerate(range(0, n_trials, _BATCH)):
             nb = min(_BATCH, n_trials - done)
-            ahead = pool.submit(_draw_batch, rng, nb, chain.dims, chain.end_to_end, scratch)
+            raw = raws[k % 2][: nb * chain.draws_per_trial]
+            ahead = (pool.submit(_draw_batch, rng, raw), nb)
             if pending is not None:
-                consume(pending.result())
+                consume(*pending)
             pending = ahead
-        consume(pending.result())
+        consume(*pending)
     return sums
 
 
@@ -224,7 +251,7 @@ def _run_chain(
     The dump at ``dump_path`` is written atomically: a run that raises leaves
     any earlier file there as it was.
     """
-    chain = _Chain(model, x, rate_budget)
+    chain = _Chain(model, x, rate_budget, n_trials)
     if dump_path is None:
         return _trial_loop(chain, n_trials, seed), chain.analytic_d_c
 

@@ -171,6 +171,16 @@ def test_simulate_rejects_bad_counts_and_budgets(tmp_path, capsys, field, value)
     assert not (tmp_path / "simulation.json").exists()
 
 
+@pytest.mark.parametrize("rate_budget", [-1, 0.5, "mi"])
+def test_rate_budget_is_rejected_without_the_end_to_end_chain(tmp_path, capsys, rate_budget):
+    # sensing alone forwards nothing, so no rate budget can change its result
+    payload = {"mode": "simulate", "model": {"seed": 4, "n": 2, "m_s": 2, "m_c": 2, "t": 4},
+               "trials": 100, "end_to_end": False, "rate_budget": rate_budget}
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error: rate_budget: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_failed_json_write_keeps_the_earlier_file(tmp_path):
     path = tmp_path / "out.json"
     write_json({"rate": 0.5}, path)
@@ -258,7 +268,7 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
                  "model.t": "trm-sw", "dump_trials": "simulate", "output_csv": "snr-sweep",
                  "output_json": "snr-sweep", "model.power": "trm-sw", "model.noise_s": "trm-sw",
                  "model.noise_c": "trm-sw", "d_s": "discrete-capacity",
-                 "budget": "discrete-capacity"}
+                 "budget": "discrete-capacity", "rate_budget": "simulate"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -302,6 +312,14 @@ MODE_OF_FIELD = {"snr_db": "snr-sweep", "schemes": "snr-sweep", "split_grid": "t
     ("grid", 0.0),
     ("snr_db", [4000.0]),
     ("snr_db", [-4000.0]),
+    # a JSON boolean is not a number, though int() and float() take true as 1
+    ("trials", True),
+    ("seed", True),
+    ("d_c", True),
+    ("snr_db", [True]),
+    ("rate_budget", True),
+    ("model.n", True),
+    ("model.power", False),
 ])
 def test_malformed_config_value_exits_2(tmp_path, tmp_path_factory, capsys, field, value):
     mode = MODE_OF_FIELD.get(field, "discrete-rd")
@@ -461,6 +479,11 @@ def test_simulate_isac_optimal_waveform(tmp_path, end_to_end):
     ({"h_c": [[1.0, 0.0, 2.0]]}, "h_c: innermost entries must be [re, im] pairs"),
     ({"sigma_s": [["a", "b"]]}, "sigma_s: expected nested [re, im] pairs"),
     (None, "line 1, column 2: "),
+    # float() and int() take a JSON true as 1
+    ({"noise_s": True}, "noise_s: must be a number, got true"),
+    ({"noise_c": True}, "noise_c: must be a number, got true"),
+    ({"power": True}, "power: must be a number, got true"),
+    ({"t": True}, "t: must be an integer, got true"),
 ])
 def test_malformed_trm_model_file_exits_2(tmp_path, capsys, edit, message):
     # edit: fields to replace, None for a field to drop; None alone for a JSON syntax error

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import stat
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,29 @@ def _fail_on_second_call(fn):
         return fn(*args, **kwargs)
 
     return wrapped
+
+
+def _slowed(fn, seconds=0.02):
+    def wrapped(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("end_to_end", [True, False], ids=["e2e", "sensing"])
+def test_the_two_draw_buffers_never_race(tmp_path, monkeypatch, end_to_end):
+    # each batch's metrics wait 20 ms, so the helper always finishes the next draw
+    # first; a buffer refilled before its batch is read would change the results
+    model = random_trm_model(11, **ORACLE_MODELS[0])
+    x = uniform_waveform(model)
+    n_trials = 4 * simulate._BATCH + 1
+    monkeypatch.setattr(simulate._Chain, "columns", _slowed(simulate._Chain.columns))
+    got = _run(model, x, n_trials, end_to_end, tmp_path / "got.csv")
+    monkeypatch.setattr(simulate, "_run_chain", serial_run_chain)
+    want = _run(model, x, n_trials, end_to_end, tmp_path / "want.csv")
+    assert got.as_dict() == want.as_dict()
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def _bounded(fn, timeout=60.0):
